@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
 )
 from .lattice import lattice_from_poset
-from .duality import clopen_downset_lattice, prime_ideals, spec
+from .duality import _spectrum, clopen_downset_lattice, prime_ideals
 from .poset import cube, down_sets, enumerate_posets
 from .relation import (
     FIXED_POINT_MODES,
@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on derived carrier sizes")
     p.add_argument("--max-dim-size", type=int, default=10,
                    help="cap on posets passed to the dimension search")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count (execution is sequential; output is "
-                        "identical for any value)")
     p.add_argument("--output", default=None, help="write the report here")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -73,11 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> dict:
-    return {
-        "max_size": args.max_size,
-        "max_dim_size": args.max_dim_size,
-        "threads": args.threads,
-    }
+    return {"max_size": args.max_size, "max_dim_size": args.max_dim_size}
 
 
 def _report(args, result: dict, extra_args: dict | None = None) -> str:
@@ -97,12 +90,6 @@ def _load(path: str):
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return docio.parse_document(text)
-
-
-def _witness_table(P, Q, witness) -> list[list[str]]:
-    return [
-        [P.labels[i], Q.labels[witness.forward[i]]] for i in range(P.n)
-    ]
 
 
 def cmd_check(args) -> tuple[str, int]:
@@ -161,10 +148,10 @@ def cmd_primes(args) -> tuple[str, int]:
 def cmd_spec(args) -> tuple[str, int]:
     _, P = _load(args.input)
     L = lattice_from_poset(P)
-    S = spec(L)
+    ideals = prime_ideals(L)
     result = {
-        "document": docio.poset_to_document(S),
-        "prime_ideals": [I.elements() for I in prime_ideals(L)],
+        "document": docio.poset_to_document(_spectrum(L, ideals)),
+        "prime_ideals": [I.elements() for I in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 
@@ -186,21 +173,27 @@ def cmd_image(args) -> tuple[str, int]:
     L = lattice_from_poset(P)
     found = relation_image_witness(L, max_size=args.max_size)
     if found is None:
-        X = spec(L)
+        # relation_image_witness returns only None, so the reason counts
+        # the spectrum again
+        size = len(prime_ideals(L))
         reason = (
-            f"spectrum has odd size {X.n}"
-            if X.n % 2
+            f"spectrum has odd size {size}"
+            if size % 2
             else "no factorization of the spectrum into a half times 2"
         )
         return _report(
             args, {"in_image": False, "reason": reason}, {"input": args.input}
         ), 1
     K, w = found
-    RK, _ = relation_lattice(K, max_size=args.max_size)
+    # Φ(K)'s elements are K's related pairs, labelled as relation_poset does
+    labels = K.order.labels
     result = {
         "in_image": True,
         "witness_for_K": docio.poset_to_document(K.order, kind="lattice"),
-        "iso": _witness_table(RK.order, L.order, w),
+        "iso": [
+            [f"({labels[a]},{labels[b]})", L.order.labels[w.forward[k]]]
+            for k, (a, b) in enumerate(K.order.pairs())
+        ],
     }
     return _report(args, result, {"input": args.input}), 0
 

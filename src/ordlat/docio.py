@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .poset import Poset, down_masks, poset_new
+from .poset import Poset, poset_new
 
 SCHEMA_VERSION = "1"
 KINDS = ("poset", "lattice")
@@ -35,7 +35,8 @@ def document_to_poset(doc) -> tuple[str, Poset]:
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
     size = doc.get("size")
-    if not isinstance(size, int) or size < 0:
+    # bool is a subclass of int, but JSON true/false is not a number
+    if type(size) is not int or size < 0:
         raise ParseError("size must be a nonnegative integer")
     pairs = doc.get("leq_pairs")
     if not isinstance(pairs, list):
@@ -45,7 +46,7 @@ def document_to_poset(doc) -> tuple[str, Poset]:
         if (
             not isinstance(p, (list, tuple))
             or len(p) != 2
-            or not all(isinstance(x, int) for x in p)
+            or not all(type(x) is int for x in p)
         ):
             raise ParseError(f"bad pair entry {p!r}")
         if not all(0 <= x < size for x in p):
@@ -80,7 +81,7 @@ def dot_export(P: Poset, target: str = "hasse") -> str:
         edges = [(i, j) for i, j in P.pairs() if i != j]
     else:
         edges = P.covers()
-        down = down_masks(P)
+        down = P.down_masks
         height = [0] * P.n
         for i in sorted(range(P.n), key=lambda x: down[x].bit_count()):
             below = [j for j in range(P.n) if (down[i] >> j) & 1 and j != i]

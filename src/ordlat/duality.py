@@ -16,6 +16,7 @@ from .errors import (
     NotOrderPreserving,
 )
 from .lattice import DistLattice, LatticeHom, hom_new, make_lattice
+from .lattice import _join_irreducibles
 from .poset import IsoWitness, Poset, _bits, down_sets
 
 DEFAULT_SPECTRUM_CAP = 20
@@ -83,32 +84,34 @@ def is_prime_ideal(L: DistLattice, mask: int) -> bool:
 
 
 def prime_ideals(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> list[PrimeIdeal]:
-    """Brute-force filter of all down-sets, sorted by bitmask."""
+    """Prime ideals of L sorted by bitmask: by Birkhoff's theorem, exactly
+    L minus the up-set of j for each join-irreducible j."""
     if L.n > cap:
         raise CapExceeded(f"|L| = {L.n} exceeds spectrum cap {cap}")
-    out = []
-    for d in down_sets(L.order, cap=max(cap, L.n)):
-        if is_prime_ideal(L, d):
-            out.append(PrimeIdeal(L, d))
-    return out
+    full = L.order.full_mask
+    masks = sorted(full & ~L.order.up[j] for j in _join_irreducibles(L.order))
+    return [PrimeIdeal(L, m) for m in masks]
+
+
+def _inclusion_order(masks: list[int], names) -> Poset:
+    """The bitmasks under inclusion, in list order, each labelled by the
+    names of its members."""
+    up = []
+    labels = []
+    for m in masks:
+        up.append(sum(1 << j for j, m2 in enumerate(masks) if m & ~m2 == 0))
+        labels.append("{" + ",".join(names[a] for a in _bits(m)) + "}")
+    return Poset(len(masks), tuple(up), tuple(labels))
+
+
+def _spectrum(L: DistLattice, ideals: list[PrimeIdeal]) -> Poset:
+    """Poset of the given prime ideals of L under inclusion, in list order."""
+    return _inclusion_order([I.members for I in ideals], L.order.labels)
 
 
 def spec(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> Poset:
     """Poset of prime ideals of L under inclusion, in bitmask order."""
-    ideals = prime_ideals(L, cap=cap)
-    n = len(ideals)
-    up = []
-    labels = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if ideals[i].members & ~ideals[j].members == 0:
-                row |= 1 << j
-        up.append(row)
-        labels.append(
-            "{" + ",".join(L.order.labels[a] for a in ideals[i].elements()) + "}"
-        )
-    return Poset(n, tuple(up), tuple(labels))
+    return _spectrum(L, prime_ideals(L, cap=cap))
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ def spec_hom(f: LatticeHom, cap: int = DEFAULT_SPECTRUM_CAP) -> SpectrumMap:
                 "preimage of a prime ideal is not prime; this cannot happen"
             )
         mapping.append(index[pre])
-    out = SpectrumMap(spec(f.target, cap=cap), spec(f.source, cap=cap), tuple(mapping))
+    source = _spectrum(f.target, tgt_ideals)
+    out = SpectrumMap(source, _spectrum(f.source, src_ideals), tuple(mapping))
     if not out.validate():
         raise InternalError("spectrum map failed to be order-preserving")
     return out
@@ -161,18 +165,7 @@ def clopen_downset_lattice(
     ds = down_sets(X, cap=cap, max_count=max_count)
     index = {m: k for k, m in enumerate(ds)}
     n = len(ds)
-    up = []
-    labels = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if ds[i] & ~ds[j] == 0:
-                row |= 1 << j
-        up.append(row)
-        labels.append(
-            "{" + ",".join(X.labels[x] for x in _bits(ds[i])) + "}"
-        )
-    P = Poset(n, tuple(up), tuple(labels))
+    P = _inclusion_order(ds, X.labels)
     meet = [[index[ds[i] & ds[j]] for j in range(n)] for i in range(n)]
     join = [[index[ds[i] | ds[j]] for j in range(n)] for i in range(n)]
     return make_lattice(P, meet, join, index[0], index[X.full_mask])
@@ -207,7 +200,7 @@ def unit_lattice(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
     """The duality unit a |-> {prime ideals not containing a}, certified as
     an order isomorphism from L onto the down-set lattice of its spectrum."""
     ideals = prime_ideals(L, cap=cap)
-    S = spec(L, cap=cap)
+    S = _spectrum(L, ideals)
     E = clopen_downset_lattice(S)
     index = {m: k for k, m in enumerate(down_sets(S))}
     forward = []
@@ -246,6 +239,6 @@ def unit_space(X: Poset, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
     if sorted(forward) != list(range(len(ideals))):
         raise InternalError("duality co-unit failed to be a bijection")
     w = IsoWitness.from_forward(forward)
-    if not w.validate(X, spec(E, cap=max(cap, E.n))):
+    if not w.validate(X, _spectrum(E, ideals)):
         raise InternalError("duality co-unit failed to be an order isomorphism")
     return w

@@ -5,17 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-import numpy as np
-
 from .errors import (
     CapExceeded,
     DegenerateBounds,
+    InternalError,
     NotALattice,
     NotDistributive,
     NotHomomorphism,
     Unbounded,
 )
-from .poset import Poset, down_masks, _bits
+from .poset import Poset, _bits, down_sets
 
 DEFAULT_HOM_CAP = 6
 
@@ -41,15 +40,30 @@ class DistLattice:
         return self.order.leq(a, b)
 
 
-def _check_distributive(meet, join, n: int) -> None:
-    M = np.asarray(meet, dtype=np.int64)
-    J = np.asarray(join, dtype=np.int64)
-    lhs = M[np.arange(n)[:, None, None], J[None, :, :]]
-    rhs = J[M[:, :, None], M[:, None, :]]
-    if np.array_equal(lhs, rhs):
+def _join_irreducibles(P: Poset) -> list[int]:
+    """Elements whose strict down-set has a greatest element (one lower
+    cover), in index order; in a lattice these are the join-irreducibles."""
+    down = P.down_masks
+    below = [down[j] & ~(1 << j) for j in range(P.n)]
+    return [
+        j for j, b in enumerate(below) if any(down[m] == b for m in _bits(b))
+    ]
+
+
+def _check_distributive(P: Poset, meet, join) -> None:
+    """Birkhoff: a finite lattice is distributive iff its join-irreducibles
+    have no more down-sets than it has elements.  Otherwise raise on the
+    first failing (a, b, c) in lexicographic order."""
+    n = P.n
+    try:
+        down_sets(P.induced(_join_irreducibles(P)), cap=n, max_count=n)
         return
-    bad = np.argwhere(lhs != rhs)[0]
-    raise NotDistributive(tuple(int(x) for x in bad))
+    except CapExceeded:
+        pass
+    for a, b, c in iproduct(range(n), repeat=3):
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+            raise NotDistributive((a, b, c))
+    raise InternalError("distributivity count and triple search disagree")
 
 
 def make_lattice(P: Poset, meet, join, bottom: int, top: int) -> DistLattice:
@@ -57,7 +71,7 @@ def make_lattice(P: Poset, meet, join, bottom: int, top: int) -> DistLattice:
     n = P.n
     if n <= 1:
         raise DegenerateBounds("need 0 != 1, so at least two elements")
-    down = down_masks(P)
+    down = P.down_masks
     full = P.full_mask
     if P.up[bottom] != full:
         raise Unbounded("bottom")
@@ -73,7 +87,7 @@ def make_lattice(P: Poset, meet, join, bottom: int, top: int) -> DistLattice:
             upper = P.up[a] & P.up[b]
             if not (upper >> j) & 1 or upper & ~P.up[j]:
                 raise NotALattice((a, b), "least upper bound")
-    _check_distributive(meet, join, n)
+    _check_distributive(P, meet, join)
     return DistLattice(
         P,
         tuple(tuple(row) for row in meet),
@@ -88,7 +102,7 @@ def lattice_from_poset(P: Poset) -> DistLattice:
     n = P.n
     if n <= 1:
         raise DegenerateBounds("need 0 != 1, so at least two elements")
-    down = down_masks(P)
+    down = P.down_masks
     full = P.full_mask
     bottoms = [i for i in range(n) if P.up[i] == full]
     tops = [i for i in range(n) if down[i] == full]
@@ -115,7 +129,7 @@ def lattice_from_poset(P: Poset) -> DistLattice:
             if lub is None:
                 raise NotALattice((a, b), "least upper bound")
             join[a][b] = join[b][a] = lub
-    _check_distributive(meet, join, n)
+    _check_distributive(P, meet, join)
     return DistLattice(
         P,
         tuple(tuple(row) for row in meet),
@@ -188,14 +202,4 @@ def enumerate_homs(L: DistLattice, K: DistLattice, cap: int = DEFAULT_HOM_CAP):
 
 def join_irreducibles(L: DistLattice) -> Poset:
     """Induced subposet of non-bottom elements j with j = a v b => j in {a,b}."""
-    elems = []
-    for j in range(L.n):
-        if j == L.bottom:
-            continue
-        if all(
-            L.join[a][b] != j or j in (a, b)
-            for a in range(L.n)
-            for b in range(L.n)
-        ):
-            elems.append(j)
-    return L.order.induced(elems)
+    return L.order.induced(_join_irreducibles(L.order))

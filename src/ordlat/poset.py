@@ -8,7 +8,7 @@ these masks, so the n <= ~20 regime stays fast in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     AntisymmetryViolation,
@@ -47,6 +47,15 @@ class Poset:
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
+
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        """down_masks[j] is the bitmask of elements <= j."""
+        down = [0] * self.n
+        for i in range(self.n):
+            for j in _bits(self.up[i]):
+                down[j] |= 1 << i
+        return tuple(down)
 
     @property
     def full_mask(self) -> int:
@@ -103,7 +112,7 @@ class Poset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
-        down = down_masks(self)
+        down = self.down_masks
         out = []
         for i in range(self.n):
             for j in _bits(self.strict_up(i)):
@@ -115,16 +124,6 @@ class Poset:
 
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def down_masks(P: Poset) -> tuple[int, ...]:
-    """down_masks(P)[j] is the bitmask of elements <= j."""
-    down = [0] * P.n
-    for i in range(P.n):
-        for j in _bits(P.up[i]):
-            down[j] |= 1 << i
-    return tuple(down)
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,7 @@ def down_sets(
     """
     if P.n > cap:
         raise CapExceeded(f"|P| = {P.n} exceeds down-set cap {cap}")
-    down = down_masks(P)
+    down = P.down_masks
     topo = sorted(range(P.n), key=lambda i: (_popcount(down[i]), i))
     result = [0]
     for x in topo:
@@ -273,7 +272,7 @@ def is_connected(P: Poset) -> bool:
     """True iff the comparability graph of P has a single component."""
     if P.n == 0:
         raise EmptyPosetError("connectivity undefined for the empty poset")
-    down = down_masks(P)
+    down = P.down_masks
     comp = [P.up[i] | down[i] for i in range(P.n)]
     reach = 1
     while True:
@@ -312,7 +311,7 @@ def _linear_extensions(P: Poset):
     """Yield linear extensions as position arrays pos[element] = rank,
     in lexicographic order of the chosen element sequence."""
     n = P.n
-    down = down_masks(P)
+    down = P.down_masks
     pos = [0] * n
     placed = 0
 
@@ -386,7 +385,7 @@ def order_dimension(P: Poset, cap: int = DEFAULT_DIMENSION_CAP) -> int:
 
 
 def _iso_profile(P: Poset) -> list[tuple[int, int]]:
-    down = down_masks(P)
+    down = P.down_masks
     return [(_popcount(down[i]), _popcount(P.up[i])) for i in range(P.n)]
 
 

@@ -18,11 +18,10 @@ from .lattice import (
 )
 from .duality import (
     PrimeIdeal,
+    _spectrum,
     clopen_downset_lattice,
     e_hom,
     prime_ideals,
-    spec,
-    unit_lattice,
 )
 from .poset import (
     DEFAULT_MAX_SIZE,
@@ -112,9 +111,13 @@ def relation_prime_ideals(
     ideal I of L, the pairs with both components in I, and the pairs with
     first component in I.  Each result is independently revalidated."""
     PhiL, prs = relation_lattice(L, max_size=max_size)
+    return _closed_form_primes(PhiL, prs, prime_ideals(L))
+
+
+def _closed_form_primes(PhiL, prs, ideals) -> list[PrimeIdeal]:
     masks = []
     seen = set()
-    for I in prime_ideals(L):
+    for I in ideals:
         both = 0
         first = 0
         for k, (a, b) in enumerate(prs):
@@ -137,22 +140,23 @@ def relation_prime_ideals(
 
 
 def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> bool:
-    """Check the closed-form prime ideals of the relation lattice against a
-    brute-force filter, and check the projection facts behind the formula
-    for every brute-force prime ideal S:
+    """Check the closed-form prime ideals of the relation lattice against
+    its spectrum computed directly, and check the projection facts behind
+    the formula for every prime ideal S of the relation lattice:
 
     - S equals (proj1(S) x proj2(S)) intersected with the relation carrier,
     - proj1(S) is prime and proj2(S) is prime or everything,
     - proj2(S) is proj1(S) or everything.
     """
     PhiL, prs = relation_lattice(L, max_size=max_size)
-    brute = prime_ideals(PhiL, cap=max(20, PhiL.n))
-    closed = relation_prime_ideals(L, max_size=max_size)
-    if {I.members for I in brute} != {I.members for I in closed}:
+    ideals = prime_ideals(L)
+    direct = prime_ideals(PhiL, cap=max(20, PhiL.n))
+    closed = _closed_form_primes(PhiL, prs, ideals)
+    if {I.members for I in direct} != {I.members for I in closed}:
         return False
-    prime_masks = {I.members for I in prime_ideals(L)}
+    prime_masks = {I.members for I in ideals}
     full = L.order.full_mask
-    for S in brute:
+    for S in direct:
         s1 = 0
         s2 = 0
         for k, (a, b) in enumerate(prs):
@@ -292,26 +296,32 @@ def relation_image_witness(
 ) -> tuple[DistLattice, IsoWitness] | None:
     """Decide whether L is (isomorphic to) the relation lattice of some K.
 
-    Works through the dual space: L is in the image iff its spectrum factors
-    as Y x 2; then K is the down-set lattice of Y and the returned witness
-    maps the relation lattice of K onto L, composed from the layered
-    isomorphism, the factorization, and the duality unit.
+    Works through the dual space: L is in the image iff its spectrum X
+    factors as Y x 2; then K is the down-set lattice of Y.  The witness maps
+    the relation lattice of K onto L: it inverts the duality unit L -> E(X)
+    followed by the pull-back to E(Y x 2) and the split into two layers.
     """
-    X = spec(L)
+    ideals = prime_ideals(L)
+    X = _spectrum(L, ideals)
     fw = factor_by_two(X)
     if fw is None:
         return None
     Y = fw.factor
     K = clopen_downset_lattice(Y)
-    PhiK, _ = relation_lattice(K, max_size=max_size)
-    w_unit = unit_lattice(L)  # L -> E(X)
-    prod = product(Y, chain(2))
-    h = fw.assembled(X)  # Y x 2 -> X
-    hom = e_hom(prod, X, h.forward)  # E(X) -> E(Y x 2)
-    w_layers = relation_downset_iso(Y, max_size=max_size)  # PhiK -> E(Y x 2)
-    forward = [
-        w_layers.backward[hom.mapping[w_unit.forward[i]]] for i in range(L.n)
-    ]
+    PhiK, prs = relation_lattice(K, max_size=max_size)
+    ds = down_sets(Y)
+    index = {(ds[i], ds[j]): k for k, (i, j) in enumerate(prs)}
+    h = fw.assembled(X).forward  # (y, q) of Y x 2, at 2y + q, -> X
+    forward = []
+    for a in range(L.n):
+        layers = [0, 0]  # bottom (q = 0) and top (q = 1)
+        for p, x in enumerate(h):
+            if a not in ideals[x]:
+                layers[p & 1] |= 1 << (p >> 1)
+        pair = (layers[1], layers[0])
+        if pair not in index:
+            raise InternalError("layered image is not a pair of down-sets")
+        forward.append(index[pair])
     w = IsoWitness.from_forward(forward).inverse()
     if not w.validate(PhiK.order, L.order):
         raise InternalError("image witness failed to validate")
@@ -380,7 +390,6 @@ def cube_shift_check(n: int) -> bool:
     E1 = clopen_downset_lattice(X)
     Phi1, _ = relation_lattice(E1)
     X1 = cube(n + 1)
-    E2 = clopen_downset_lattice(X1)
     w_layers = relation_downset_iso(X)  # Phi1 -> E(X x 2)
     prod = product(X, chain(2))
     # drop coordinate 0 into the extra factor: y -> (shift(y), y(0))
@@ -388,7 +397,7 @@ def cube_shift_check(n: int) -> bool:
     hom = e_hom(X1, prod, shuffle)  # E(X x 2) -> E(cube(n+1))
     forward = [hom.mapping[w_layers.forward[k]] for k in range(Phi1.n)]
     w = IsoWitness.from_forward(forward)
-    return w.validate(Phi1.order, E2.order)
+    return w.validate(Phi1.order, hom.target.order)
 
 
 def dimension_report(n_max: int, dim_cap: int = 10) -> list[dict]:

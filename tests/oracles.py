@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the library's own algorithms: antichains
 by subset search, isomorphism by trying every bijection, dimension by
-combining raw linear extensions, down-sets by filtering the power set.
+combining raw linear extensions, down-sets and prime ideals by filtering the
+power set, lattice tables by searching all bounds, and distributivity by
+trying every triple.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def brute_max_antichain(P) -> int:
@@ -87,3 +89,51 @@ def brute_down_sets(P):
         if ok:
             out.append(mask)
     return out
+
+
+def brute_prime_ideals(L):
+    """Prime ideals by filtering all subsets against the definition: a
+    nonempty proper down-set closed under joins whose complement is closed
+    under meets; bitmasks sorted ascending."""
+    n = L.n
+    out = []
+    for mask in range(1, (1 << n) - 1):
+        inside = [a for a in range(n) if (mask >> a) & 1]
+        outside = [a for a in range(n) if not (mask >> a) & 1]
+        if (
+            all(not L.leq(x, a) for a in inside for x in outside)
+            and all((mask >> L.join[a][b]) & 1 for a in inside for b in inside)
+            and all(
+                not (mask >> L.meet[a][b]) & 1 for a in outside for b in outside
+            )
+        ):
+            out.append(mask)
+    return out
+
+
+def brute_meet_join(P):
+    """Meet and join tables of P by searching all bounds of each pair, or
+    None when some pair lacks a greatest lower or a least upper bound."""
+    n = P.n
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            lower = [m for m in range(n) if P.leq(m, a) and P.leq(m, b)]
+            upper = [j for j in range(n) if P.leq(a, j) and P.leq(b, j)]
+            glb = [m for m in lower if all(P.leq(x, m) for x in lower)]
+            lub = [j for j in upper if all(P.leq(j, x) for x in upper)]
+            if not glb or not lub:
+                return None
+            meet[a][b], join[a][b] = glb[0], lub[0]
+    return meet, join
+
+
+def brute_first_failing_triple(meet, join):
+    """First (a, b, c) in lexicographic order with a meet (b join c) unequal
+    to (a meet b) join (a meet c), or None when the tables distribute."""
+    n = len(meet)
+    for a, b, c in product(range(n), repeat=3):
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+            return (a, b, c)
+    return None

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,21 @@ def test_check_malformed_json(capsys):
 
 def test_usage_error_returns_2(capsys):
     assert main(["bogus-command"]) == 2
+
+
+def test_threads_flag_is_a_usage_error(capsys):
+    assert main(["--threads", "2", "check", fx("chain4_lattice.json")]) == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(o.__file__))
+    code = "import sys, ordlat.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_phi_chain2(capsys):
@@ -181,6 +198,10 @@ def test_parse_rejects_bad_documents():
         {"schema_version": "1", "kind": "poset", "size": -1, "leq_pairs": []},
         {"schema_version": "1", "kind": "poset", "size": 2, "leq_pairs": [[0, 5]]},
         {"schema_version": "1", "kind": "poset", "size": 2, "leq_pairs": [[0]]},
+        # JSON booleans are not integers
+        {"schema_version": "1", "kind": "poset", "size": True, "leq_pairs": []},
+        {"schema_version": "1", "kind": "poset", "size": 2,
+         "leq_pairs": [[False, False]]},
     ]
     for doc in bad:
         with pytest.raises(o.ParseError):

@@ -3,6 +3,7 @@ import pytest
 import ordlat as o
 from ordlat import DegenerateBounds, OrdlatError
 from ordlat.duality import is_filter, is_ideal, is_prime_ideal
+from oracles import brute_prime_ideals
 
 
 def lat(P):
@@ -27,6 +28,16 @@ def test_prime_ideals_of_chains():
         assert [I.elements() for I in ideals] == [
             list(range(k + 1)) for k in range(n - 1)
         ]
+
+
+def test_prime_ideals_match_power_set_oracle():
+    checked = 0
+    for n in range(2, 8):
+        for L in lattice_valid(o.enumerate_posets(n)):
+            ideals = [I.members for I in o.prime_ideals(L)]
+            assert ideals == brute_prime_ideals(L)
+            checked += 1
+    assert checked == 20
 
 
 def test_prime_ideals_boolean4():

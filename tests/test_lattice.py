@@ -8,6 +8,7 @@ from ordlat import (
     NotHomomorphism,
     Unbounded,
 )
+from oracles import brute_first_failing_triple, brute_meet_join
 
 
 def diamond_m3():
@@ -127,3 +128,22 @@ def test_join_irreducibles_examples():
     e_cube2 = o.clopen_downset_lattice(o.cube(2))
     assert e_cube2.n == 6
     assert o.join_irreducibles(e_cube2).n == 4
+
+
+def test_distributivity_matches_triple_oracle_on_all_small_lattices():
+    lattices = distributive = 0
+    for n in range(2, 8):
+        for P in o.enumerate_posets(n):
+            tables = brute_meet_join(P)
+            if tables is None:
+                continue
+            lattices += 1
+            triple = brute_first_failing_triple(*tables)
+            if triple is None:
+                distributive += 1
+                o.lattice_from_poset(P)
+            else:
+                with pytest.raises(NotDistributive) as exc:
+                    o.lattice_from_poset(P)
+                assert exc.value.triple == triple
+    assert (lattices, distributive) == (77, 20)
