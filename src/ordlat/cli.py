@@ -21,15 +21,20 @@ from .errors import (
     ParseError,
 )
 from .lattice import lattice_from_poset
-from .duality import _spectrum, clopen_downset_lattice, prime_ideals
-from .poset import cube, down_sets, enumerate_posets
+from .duality import (
+    _downset_lattice,
+    _spectrum,
+    clopen_downset_lattice,
+    prime_ideals,
+)
+from .poset import cube, enumerate_posets
 from .relation import (
     FIXED_POINT_MODES,
+    _image_witness,
     cube_shift_check,
     dimension_report,
     find_fixed_points,
     relation_downset_iso,
-    relation_image_witness,
     relation_lattice,
     relation_poset,
     verify_relation_primes,
@@ -158,12 +163,10 @@ def cmd_spec(args) -> tuple[str, int]:
 
 def cmd_downsets(args) -> tuple[str, int]:
     _, P = _load(args.input)
-    E = clopen_downset_lattice(P)
+    E, ds = _downset_lattice(P)
     result = {
         "document": docio.poset_to_document(E.order, kind="lattice"),
-        "down_sets": [
-            [x for x in range(P.n) if (m >> x) & 1] for m in down_sets(P)
-        ],
+        "down_sets": [[x for x in range(P.n) if (m >> x) & 1] for m in ds],
     }
     return _report(args, result, {"input": args.input}), 0
 
@@ -171,11 +174,10 @@ def cmd_downsets(args) -> tuple[str, int]:
 def cmd_image(args) -> tuple[str, int]:
     _, P = _load(args.input)
     L = lattice_from_poset(P)
-    found = relation_image_witness(L, max_size=args.max_size)
+    ideals = prime_ideals(L)
+    found = _image_witness(L, ideals, args.max_size)
     if found is None:
-        # relation_image_witness returns only None, so the reason counts
-        # the spectrum again
-        size = len(prime_ideals(L))
+        size = len(ideals)
         reason = (
             f"spectrum has odd size {size}"
             if size % 2

@@ -160,6 +160,14 @@ def clopen_downset_lattice(
     X: Poset, cap: int = DEFAULT_SPECTRUM_CAP, max_count: int = 100_000
 ) -> DistLattice:
     """Lattice of all down-sets of X: meet is intersection, join is union."""
+    return _downset_lattice(X, cap=cap, max_count=max_count)[0]
+
+
+def _downset_lattice(
+    X: Poset, cap: int = DEFAULT_SPECTRUM_CAP, max_count: int = 100_000
+) -> tuple[DistLattice, list[int]]:
+    """The down-set lattice of X, with its carrier: the down-sets of X as
+    sorted bitmasks, element k of the lattice being the k-th."""
     if X.n == 0:
         raise DegenerateBounds("empty space has a one-element down-set lattice")
     ds = down_sets(X, cap=cap, max_count=max_count)
@@ -168,12 +176,18 @@ def clopen_downset_lattice(
     P = _inclusion_order(ds, X.labels)
     meet = [[index[ds[i] & ds[j]] for j in range(n)] for i in range(n)]
     join = [[index[ds[i] | ds[j]] for j in range(n)] for i in range(n)]
-    return make_lattice(P, meet, join, index[0], index[X.full_mask])
+    return make_lattice(P, meet, join, index[0], index[X.full_mask]), ds
 
 
 def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:
     """Down-set lattice hom induced by an order-preserving g: X -> Y, acting
     by preimage: a down-set of Y maps to its g-preimage in X."""
+    g = _order_preserving(X, Y, g)
+    return _e_hom(X, g, _downset_lattice(X), _downset_lattice(Y))
+
+
+def _order_preserving(X: Poset, Y: Poset, g) -> tuple[int, ...]:
+    """g as a tuple, checked to be an order-preserving map X -> Y."""
     g = tuple(g)
     if len(g) != X.n or any(not 0 <= v < Y.n for v in g):
         raise NotOrderPreserving(("map not total", None))
@@ -181,10 +195,13 @@ def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:
         for b in range(X.n):
             if X.leq(a, b) and not Y.leq(g[a], g[b]):
                 raise NotOrderPreserving((a, b))
-    EX = clopen_downset_lattice(X)
-    EY = clopen_downset_lattice(Y)
-    dsx = down_sets(X)
-    dsy = down_sets(Y)
+    return g
+
+
+def _e_hom(X: Poset, g, ex, ey) -> LatticeHom:
+    """``e_hom`` for a checked g, on the down-set lattices of X and Y, each
+    given with its carrier as ``_downset_lattice`` returns it."""
+    (EX, dsx), (EY, dsy) = ex, ey
     index = {m: k for k, m in enumerate(dsx)}
     mapping = []
     for d in dsy:
@@ -200,9 +217,8 @@ def unit_lattice(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
     """The duality unit a |-> {prime ideals not containing a}, certified as
     an order isomorphism from L onto the down-set lattice of its spectrum."""
     ideals = prime_ideals(L, cap=cap)
-    S = _spectrum(L, ideals)
-    E = clopen_downset_lattice(S)
-    index = {m: k for k, m in enumerate(down_sets(S))}
+    E, ds = _downset_lattice(_spectrum(L, ideals))
+    index = {m: k for k, m in enumerate(ds)}
     forward = []
     for a in range(L.n):
         xa = 0
@@ -223,8 +239,7 @@ def unit_lattice(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
 def unit_space(X: Poset, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
     """The co-unit x |-> {down-sets omitting x}, certified as an order
     isomorphism from X onto the spectrum of its down-set lattice."""
-    E = clopen_downset_lattice(X, cap=cap)
-    ds = down_sets(X)
+    E, ds = _downset_lattice(X, cap=cap)
     ideals = prime_ideals(E, cap=max(cap, E.n))
     index = {I.members: k for k, I in enumerate(ideals)}
     forward = []

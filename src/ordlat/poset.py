@@ -307,80 +307,99 @@ def width(P: Poset) -> int:
     return n - matching
 
 
-def _linear_extensions(P: Poset):
-    """Yield linear extensions as position arrays pos[element] = rank,
-    in lexicographic order of the chosen element sequence."""
-    n = P.n
+def _critical_pairs(P: Poset) -> list[tuple[int, int]]:
+    """Incomparable pairs (a, b) with everything strictly below a below b
+    and everything strictly above b above a, in lexicographic order."""
     down = P.down_masks
-    pos = [0] * n
-    placed = 0
-
-    def rec(depth: int):
-        nonlocal placed
-        if depth == n:
-            yield tuple(pos)
-            return
-        for x in range(n):
-            bit = 1 << x
-            if placed & bit:
+    out = []
+    for a in range(P.n):
+        for b in range(P.n):
+            if a == b or P.leq(a, b) or P.leq(b, a):
                 continue
-            if (down[x] & ~bit) & ~placed:
-                continue
-            placed |= bit
-            pos[x] = depth
-            yield from rec(depth + 1)
-            placed &= ~bit
+            if down[a] & ~(1 << a) & ~down[b] == 0 and (
+                P.strict_up(b) & ~P.up[a] == 0
+            ):
+                out.append((a, b))
+    return out
 
-    yield from rec(0)
+
+def _reverse(rows: tuple[list[int], list[int]], a: int, b: int):
+    """Up and down rows of the order generated by ``rows`` and b below a;
+    the caller has checked that a is not below b."""
+    up, down = list(rows[0]), list(rows[1])
+    above, below = up[a], down[b]
+    for x in _bits(below):
+        up[x] |= above
+    for y in _bits(above):
+        down[y] |= below
+    return up, down
+
+
+def _reversible_split(P: Poset, pairs, k: int):
+    """Up and down rows of at most k orders, each P with some of ``pairs``
+    reversed, that together reverse every pair; None if there are none.
+
+    Backtracks over the pairs in list order.  A pair already reversed by
+    some class is left there, since placing it costs that class nothing;
+    a pair opens a new class only as the lowest unused one.
+    """
+    classes: list[tuple[list[int], list[int]]] = []
+    base = (list(P.up), list(P.down_masks))
+
+    def place(i: int) -> bool:
+        if i == len(pairs):
+            return True
+        a, b = pairs[i]
+        if any((up[b] >> a) & 1 for up, _ in classes):
+            return place(i + 1)
+        for c, rows in enumerate(classes):
+            if not (rows[0][a] >> b) & 1:
+                classes[c] = _reverse(rows, a, b)
+                if place(i + 1):
+                    return True
+                classes[c] = rows
+        if len(classes) < k:
+            classes.append(_reverse(base, a, b))
+            if place(i + 1):
+                return True
+            classes.pop()
+        return False
+
+    return classes if place(0) else None
 
 
 def order_dimension(P: Poset, cap: int = DEFAULT_DIMENSION_CAP) -> int:
     """Least k such that k linear extensions intersect to exactly the order.
 
-    Every extension contains the order, so the intersection condition reduces
-    to covering each ordered incomparable pair (a, b) by an extension placing
-    b below a; minimized by iterative-deepening set cover.
+    A family of linear extensions realizes P iff it reverses every critical
+    pair (a, b): a and b incomparable, everything strictly below a is below
+    b, and everything strictly above b is above a.  So the dimension is the
+    least k for which the critical pairs split into k reversible sets, sets
+    that P with all their pairs reversed still orders acyclically (Trotter,
+    *Combinatorics and Partially Ordered Sets*, 1992).  Each class's order
+    is extended to a linear one, and the k orders are checked to intersect
+    to P before k is returned.
     """
     if P.n == 0:
         raise EmptyPosetError("dimension undefined for the empty poset")
     if P.n > cap:
         raise CapExceeded(f"|P| = {P.n} exceeds dimension cap {cap}")
-    ipairs = [
-        (a, b)
-        for a in range(P.n)
-        for b in range(P.n)
-        if a != b and not P.leq(a, b) and not P.leq(b, a)
-    ]
-    if not ipairs:
+    pairs = _critical_pairs(P)
+    if not pairs:
         return 1
-    masks = set()
-    for pos in _linear_extensions(P):
-        m = 0
-        for k, (a, b) in enumerate(ipairs):
-            if pos[b] < pos[a]:
-                m |= 1 << k
-        masks.add(m)
-    masks = sorted(masks)
-    # dominated masks can never help a minimum cover
-    masks = [
-        m
-        for m in masks
-        if not any(m != m2 and m | m2 == m2 for m2 in masks)
-    ]
-    full = (1 << len(ipairs)) - 1
-    cover_by = [[m for m in masks if (m >> k) & 1] for k in range(len(ipairs))]
-
-    def dfs(covered: int, depth: int) -> bool:
-        if covered == full:
-            return True
-        if depth == 0:
-            return False
-        k = ((~covered & full) & -(~covered & full)).bit_length() - 1
-        return any(dfs(covered | m, depth - 1) for m in cover_by[k])
-
-    k = 1
-    while not dfs(0, k):
+    k = 2
+    while (classes := _reversible_split(P, pairs, k)) is None:
         k += 1
+    meet = [P.full_mask] * P.n
+    for _, down in classes:
+        # x below y in the class leaves fewer elements below x than below y
+        rank = sorted(range(P.n), key=lambda x: (_popcount(down[x]), x))
+        above = 0
+        for x in reversed(rank):
+            above |= 1 << x
+            meet[x] &= above
+    if len(classes) != k or tuple(meet) != P.up:
+        raise InternalError("critical-pair split failed to realize the order")
     return k
 
 

@@ -18,9 +18,10 @@ from .lattice import (
 )
 from .duality import (
     PrimeIdeal,
+    _downset_lattice,
+    _e_hom,
+    _order_preserving,
     _spectrum,
-    clopen_downset_lattice,
-    e_hom,
     prime_ideals,
 )
 from .poset import (
@@ -186,12 +187,17 @@ def relation_downset_iso(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitne
     with e on the bottom layer; the inverse splits a down-set of X x 2 into
     its two layers (top layer first).  Both directions are validated.
     """
-    E = clopen_downset_lattice(X)
+    E, ds = _downset_lattice(X)
     PhiE, prs = relation_lattice(E, max_size=max_size)
-    ds = down_sets(X)
-    prod = product(X, chain(2))
-    E2 = clopen_downset_lattice(prod)
-    index2 = {m: k for k, m in enumerate(down_sets(prod))}
+    return _layer_iso(ds, PhiE, prs, _downset_lattice(product(X, chain(2))))
+
+
+def _layer_iso(ds, PhiE, prs, e2) -> IsoWitness:
+    """``relation_downset_iso`` from the down-sets ``ds`` of X, the relation
+    lattice of their lattice with its pairs, and the down-set lattice of
+    X x 2 with its carrier."""
+    E2, ds2 = e2
+    index2 = {m: k for k, m in enumerate(ds2)}
     forward = []
     for i, j in prs:
         c = 0
@@ -301,15 +307,18 @@ def relation_image_witness(
     the relation lattice of K onto L: it inverts the duality unit L -> E(X)
     followed by the pull-back to E(Y x 2) and the split into two layers.
     """
-    ideals = prime_ideals(L)
+    return _image_witness(L, prime_ideals(L), max_size)
+
+
+def _image_witness(L: DistLattice, ideals, max_size: int):
+    """``relation_image_witness`` given the prime ideals of L."""
     X = _spectrum(L, ideals)
     fw = factor_by_two(X)
     if fw is None:
         return None
     Y = fw.factor
-    K = clopen_downset_lattice(Y)
+    K, ds = _downset_lattice(Y)
     PhiK, prs = relation_lattice(K, max_size=max_size)
-    ds = down_sets(Y)
     index = {(ds[i], ds[j]): k for k, (i, j) in enumerate(prs)}
     h = fw.assembled(X).forward  # (y, q) of Y x 2, at 2y + q, -> X
     forward = []
@@ -387,14 +396,16 @@ def cube_shift_check(n: int) -> bool:
     if n > 3:
         raise CapExceeded("shift check capped at n = 3")
     X = cube(n)
-    E1 = clopen_downset_lattice(X)
-    Phi1, _ = relation_lattice(E1)
+    E1, ds = _downset_lattice(X)
+    Phi1, prs = relation_lattice(E1)
     X1 = cube(n + 1)
-    w_layers = relation_downset_iso(X)  # Phi1 -> E(X x 2)
     prod = product(X, chain(2))
+    E2 = _downset_lattice(prod)
+    w_layers = _layer_iso(ds, Phi1, prs, E2)  # Phi1 -> E(X x 2)
     # drop coordinate 0 into the extra factor: y -> (shift(y), y(0))
     shuffle = [((i >> 1) * 2) + (i & 1) for i in range(X1.n)]
-    hom = e_hom(X1, prod, shuffle)  # E(X x 2) -> E(cube(n+1))
+    g = _order_preserving(X1, prod, shuffle)
+    hom = _e_hom(X1, g, _downset_lattice(X1), E2)  # E(X x 2) -> E(cube(n+1))
     forward = [hom.mapping[w_layers.forward[k]] for k in range(Phi1.n)]
     w = IsoWitness.from_forward(forward)
     return w.validate(Phi1.order, hom.target.order)
@@ -403,7 +414,12 @@ def cube_shift_check(n: int) -> bool:
 def dimension_report(n_max: int, dim_cap: int = 10) -> list[dict]:
     """Survey rows comparing width and order dimension of each small poset
     with those of its relation poset; oversized dimension entries are
-    marked skipped rather than computed."""
+    marked skipped rather than computed.
+
+    P is the diagonal of its relation poset, which is a subposet of P x P,
+    so dim P <= dim Phi(P) <= 2 dim P; a row breaking this raises
+    InternalError.
+    """
     if n_max > 6:
         raise CapExceeded("dimension report capped at n_max = 6")
     rows = []
@@ -412,6 +428,11 @@ def dimension_report(n_max: int, dim_cap: int = 10) -> list[dict]:
             RP, _ = relation_poset(P)
             dim_p = order_dimension(P, cap=dim_cap) if P.n <= dim_cap else None
             dim_rp = order_dimension(RP, cap=dim_cap) if RP.n <= dim_cap else None
+            if None not in (dim_p, dim_rp) and not dim_p <= dim_rp <= 2 * dim_p:
+                raise InternalError(
+                    f"dim {dim_p} and dim_rel {dim_rp} of n{size}#{idx:03d} "
+                    "break dim P <= dim Phi(P) <= 2 dim P"
+                )
             rows.append(
                 {
                     "id": f"n{size}#{idx:03d}",

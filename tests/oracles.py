@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: antichains
 by subset search, isomorphism by trying every bijection, dimension by
-combining raw linear extensions, down-sets and prime ideals by filtering the
-power set, lattice tables by searching all bounds, and distributivity by
-trying every triple.
+combining raw linear extensions or by a set cover over them, down-sets and
+prime ideals by filtering the power set, lattice tables by searching all
+bounds, and distributivity by trying every triple.
 """
 
 from itertools import combinations, permutations, product
@@ -71,6 +71,63 @@ def brute_dimension(P) -> int:
             if realizes(subset):
                 return k
     raise AssertionError("no realizer found")
+
+
+def cover_dimension(P) -> int:
+    """Least number of linear extensions covering every ordered incomparable
+    pair (a, b) with one that places b below a: extensions that reverse the
+    same pairs count once, only those reversing a maximal set are kept, and
+    the cover is found by iterative deepening on the first uncovered pair."""
+    n = P.n
+    ipairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and not P.leq(a, b) and not P.leq(b, a)
+    ]
+    if not ipairs:
+        return 1
+    below = [
+        sum(1 << y for y in range(n) if y != x and P.leq(y, x)) for x in range(n)
+    ]
+    masks = set()
+    pos = [0] * n
+
+    def extend(placed, depth):
+        if depth == n:
+            m = 0
+            for k, (a, b) in enumerate(ipairs):
+                if pos[b] < pos[a]:
+                    m |= 1 << k
+            masks.add(m)
+            return
+        for x in range(n):
+            if not (placed >> x) & 1 and below[x] & ~placed == 0:
+                pos[x] = depth
+                extend(placed | 1 << x, depth + 1)
+
+    extend(0, 0)
+    maximal = []  # a strict superset has more bits, so it comes first
+    for m in sorted(masks, key=lambda m: -m.bit_count()):
+        if all(m | m2 != m2 for m2 in maximal):
+            maximal.append(m)
+    masks = sorted(maximal)
+    full = (1 << len(ipairs)) - 1
+    cover_by = [[m for m in masks if (m >> k) & 1] for k in range(len(ipairs))]
+
+    def dfs(covered, depth):
+        if covered == full:
+            return True
+        if depth == 0:
+            return False
+        rest = ~covered & full
+        k = (rest & -rest).bit_length() - 1
+        return any(dfs(covered | m, depth - 1) for m in cover_by[k])
+
+    k = 1
+    while not dfs(0, k):
+        k += 1
+    return k
 
 
 def brute_down_sets(P):

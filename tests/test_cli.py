@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -121,6 +122,27 @@ def test_image_no_chain4(capsys):
     assert "odd size 3" in report["result"]["reason"]
 
 
+def test_image_computes_the_prime_ideals_once(capsys, monkeypatch):
+    from ordlat import cli, duality, relation
+
+    calls = []
+    real = duality.prime_ideals
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    for module in (cli, duality, relation):
+        monkeypatch.setattr(module, "prime_ideals", counted)
+    for fixture, size, code in [
+        ("chain4_lattice.json", 4, 1),
+        ("chain3_lattice.json", 3, 0),
+    ]:
+        calls.clear()
+        assert run(capsys, "image", fx(fixture))[0] == code
+        assert calls == [size]
+
+
 def test_image_yes_e_cube2(capsys):
     code, out, _ = run(capsys, "image", fx("e_cube2_lattice.json"))
     assert code == 0
@@ -162,6 +184,18 @@ def test_experiments_dimtable_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "id,size,dim,dim_rel,width,width_rel"
     assert len(lines) == 1 + 1 + 2 + 5
+
+
+# SHA-256 of `experiments dimtable --n-max 6` as written by the realizer
+# search over all linear extensions that the critical-pair split replaced
+DIMTABLE_6_SHA256 = "dd9f05b05bf143e58cffa62d3274ae3fba35a41cc8cd87ba834ce4b66701fb54"
+
+
+def test_experiments_dimtable_6_matches_recorded_digest(capsys):
+    code, out, _ = run(capsys, "experiments", "dimtable", "--n-max", "6")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1 + 2 + 5 + 16 + 63 + 318
+    assert hashlib.sha256(out.encode()).hexdigest() == DIMTABLE_6_SHA256
 
 
 def test_output_flag(tmp_path, capsys):

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import ordlat as o
 from ordlat import AntisymmetryViolation, CapExceeded, EmptyPosetError
-from oracles import brute_down_sets, brute_iso, brute_max_antichain
+from oracles import (
+    brute_down_sets,
+    brute_iso,
+    brute_max_antichain,
+    cover_dimension,
+)
 
 # frozen class counts for posets up to isomorphism, n = 1..6
 POSET_COUNTS = [1, 2, 5, 16, 63, 318]
@@ -127,11 +132,20 @@ def test_width_examples():
     assert o.width(o.cube(3)) == 3
 
 
+def standard_example(k):
+    """S_k: minimal elements a_i below maximal elements b_j for i != j."""
+    pairs = [(i, k + j) for i in range(k) for j in range(k) if i != j]
+    return o.poset_new(2 * k, pairs)
+
+
 def test_dimension_examples():
     for n in range(1, 6):
         assert o.order_dimension(o.chain(n)) == 1
     assert o.order_dimension(o.antichain(2)) == 2
+    assert o.order_dimension(o.antichain(10)) == 2
     assert o.order_dimension(o.cube(2)) == 2
+    for k in range(2, 6):
+        assert o.order_dimension(standard_example(k)) == k
     with pytest.raises(CapExceeded):
         o.order_dimension(o.antichain(11))
 
@@ -140,6 +154,40 @@ def test_dimension_one_iff_chain():
     for n in (1, 2, 3, 4):
         for P in o.enumerate_posets(n):
             assert (o.order_dimension(P) == 1) == P.is_chain()
+
+
+def test_dimension_matches_cover_oracle_on_small_posets():
+    for n in range(1, 7):
+        for P in o.enumerate_posets(n):
+            assert o.order_dimension(P) == cover_dimension(P)
+
+
+def test_dimension_matches_cover_oracle_on_small_relation_posets():
+    seen = set()
+    for n in range(1, 7):
+        for P in o.enumerate_posets(n):
+            RP, _ = o.relation_poset(P)
+            if RP.n > 9:
+                continue
+            key = o.canonical_key(RP)[0]
+            if key not in seen:
+                seen.add(key)
+                assert o.order_dimension(RP) == cover_dimension(RP)
+    assert len(seen) == 56
+
+
+def test_dimension_split_failure_raises(monkeypatch):
+    """A split that does not realize the order is caught before k is
+    returned."""
+    real = o.poset._reversible_split
+
+    def first_class_only(P, pairs, k):
+        classes = real(P, pairs, k)
+        return classes[:1] * len(classes) if classes else classes
+
+    monkeypatch.setattr(o.poset, "_reversible_split", first_class_only)
+    with pytest.raises(o.InternalError):
+        o.order_dimension(o.antichain(3))
 
 
 def test_enumeration_counts():

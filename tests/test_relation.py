@@ -202,11 +202,42 @@ def test_find_fixed_points_bad_mode():
         o.find_fixed_points(3, "bogus")
 
 
-def test_cube_shift_small():
-    assert o.cube_shift_check(0)
-    assert o.cube_shift_check(1)
+def test_cube_shift_small(monkeypatch):
+    """E(cube n), its relation lattice, E(cube n x 2) and E(cube(n+1)) are
+    each built once: one relation lattice and three down-set scans."""
+    from ordlat import duality, relation
+
+    calls = {"down_sets": 0, "relation_lattice": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(duality, "down_sets")
+    counted(relation, "relation_lattice")
+    for n in range(4):
+        assert o.cube_shift_check(n)
+    assert calls == {"down_sets": 4 * 3, "relation_lattice": 4}
     with pytest.raises(CapExceeded):
         o.cube_shift_check(4)
+
+
+def test_dimension_report_checks_the_bounds(monkeypatch):
+    from ordlat import relation
+
+    real = relation.order_dimension
+
+    def tripled_on_relation_posets(P, cap):
+        return real(P, cap=cap) * (3 if P.labels[0].startswith("(") else 1)
+
+    monkeypatch.setattr(relation, "order_dimension", tripled_on_relation_posets)
+    with pytest.raises(o.InternalError, match="dim P <= dim Phi"):
+        o.dimension_report(3)
 
 
 def test_dimension_report_rows():
