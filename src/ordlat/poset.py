@@ -460,46 +460,71 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     minimizing greedily per level is exact for this lexicographic order.
     Frontier prefixes with identical remainders are merged, which keeps
     highly symmetric posets (antichains) polynomial.
+
+    Each frontier prefix carries every element's code, its chunk against
+    the prefix so far, packed into one integer with a fixed-width field per
+    element.  Placing v shifts all the codes by two bits at once and ors in
+    a table row holding every element's two bits against v.  A candidate's
+    chunk is its code, and a prefix's remainder is the codes of its
+    unplaced elements, the other fields being cleared.
+
+    Twins, distinct elements with the same strict up-set and the same
+    strict down-set, are placed in index order: an element waits while a
+    lower twin is unplaced.  Swapping two twins is an automorphism, so a
+    permutation placing a twin before a lower one has the same chunks as
+    the lexicographically smaller one with the two swapped.  The least
+    key-optimal permutation therefore places twins in order; every prefix
+    of it stays on the frontier, and the key and ``perm`` are exactly
+    those of the search without the rule.
     """
     n = P.n
     if n == 0:
         return (), ()
-    prefixes = [()]
+    up, down = P.up, P.down_masks
+    width = 2 * n  # bits per code field; a code gains two per placement
+    field = (1 << width) - 1
+    # row[v]: each element u's bits against a placed v, (v <= u) then (u <= v)
+    row = [0] * n
+    for v in range(n):
+        for u in range(n):
+            bits = ((up[v] >> u) & 1) << 1 | ((down[v] >> u) & 1)
+            row[v] |= bits << (width * u)
+    twins: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        twins.setdefault((up[v] ^ (1 << v), down[v] ^ (1 << v)), []).append(v)
+    after = [()] * n  # the twin that becomes placeable once v is placed
+    for cls in twins.values():
+        for u, w in zip(cls, cls[1:]):
+            after[u] = (w,)
+    ready = tuple(sorted(cls[0] for cls in twins.values()))
+    # frontier states (prefix, placeable elements, live fields, codes), in
+    # prefix order
+    frontier = [((), ready, (1 << (width * n)) - 1, 0)]
     chunks = []
     for _ in range(n):
-        cands = []
-        for pre in prefixes:
-            used = 0
-            for p in pre:
-                used |= 1 << p
-            for v in range(n):
-                if (used >> v) & 1:
-                    continue
-                c = 0
-                for p in pre:
-                    c = (c << 2) | (P.leq(p, v) << 1) | P.leq(v, p)
-                cands.append((c, pre + (v,)))
-        best = min(c for c, _ in cands)
+        best = min(
+            (codes >> (width * v)) & field
+            for _, ready, _, codes in frontier
+            for v in ready
+        )
         chunks.append(best)
-        survivors = sorted(pre for c, pre in cands if c == best)
-        seen = {}
-        for pre in survivors:
-            used = 0
-            for p in pre:
-                used |= 1 << p
-            sig = []
-            for v in range(n):
-                if (used >> v) & 1:
+        seen = set()
+        nxt = []
+        for pre, ready, live, codes in frontier:
+            for v in ready:
+                if (codes >> (width * v)) & field != best:
                     continue
-                vec = 0
-                for p in pre:
-                    vec = (vec << 2) | (P.leq(p, v) << 1) | P.leq(v, p)
-                sig.append(vec)
-            key = (used, tuple(sig))
-            if key not in seen:
-                seen[key] = pre
-        prefixes = list(seen.values())
-    return tuple(chunks), min(prefixes)
+                live_v = live & ~(field << (width * v))
+                codes_v = ((codes << 2) | row[v]) & live_v
+                if (live_v, codes_v) in seen:
+                    continue
+                seen.add((live_v, codes_v))
+                ready_v = sorted([u for u in ready if u != v] + list(after[v]))
+                nxt.append((pre + (v,), tuple(ready_v), live_v, codes_v))
+        frontier = nxt
+    # no field is live after the last placement, so one state is left: the
+    # first, smallest prefix to reach the key
+    return tuple(chunks), frontier[0][0]
 
 
 def canonical_form(P: Poset) -> Poset:
@@ -511,21 +536,28 @@ def canonical_form(P: Poset) -> Poset:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[Poset, ...]:
+    """The classes of ``enumerate_posets(n)``, each checked against the
+    poset axioms once, when it is built."""
     if n == 1:
-        return (antichain(1),)
-    out: dict[tuple, Poset] = {}
-    bit = 1 << (n - 1)
-    for Q in _enumerate_cached(n - 1):
-        for D in down_sets(Q):
-            up = list(Q.up) + [bit]
-            for i in _bits(D):
-                up[i] |= bit
-            cand = Poset(n, tuple(up), _default_labels(n))
-            key, perm = canonical_key(cand)
-            if key not in out:
-                rep = cand.relabel(perm)
-                out[key] = Poset(n, rep.up, _default_labels(n))
-    return tuple(out[k] for k in sorted(out))
+        reps = (antichain(1),)
+    else:
+        out: dict[tuple, Poset] = {}
+        bit = 1 << (n - 1)
+        for Q in _enumerate_cached(n - 1):
+            for D in down_sets(Q):
+                up = list(Q.up) + [bit]
+                for i in _bits(D):
+                    up[i] |= bit
+                cand = Poset(n, tuple(up), _default_labels(n))
+                key, perm = canonical_key(cand)
+                if key not in out:
+                    rep = cand.relabel(perm)
+                    out[key] = Poset(n, rep.up, _default_labels(n))
+        reps = tuple(out[k] for k in sorted(out))
+    for P in reps:
+        if not P.check_axioms():
+            raise InternalError("enumeration produced an invalid poset")
+    return reps
 
 
 def enumerate_posets(n: int) -> list[Poset]:
@@ -536,8 +568,4 @@ def enumerate_posets(n: int) -> list[Poset]:
         raise ValueError("enumerate_posets needs n >= 1")
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"poset enumeration capped at n = {ENUMERATION_CAP}")
-    reps = list(_enumerate_cached(n))
-    for P in reps:
-        if not P.check_axioms():
-            raise InternalError("enumeration produced an invalid poset")
-    return reps
+    return list(_enumerate_cached(n))

@@ -371,8 +371,12 @@ def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
                     continue
             if mode == "connected_posets" and not is_connected(P):
                 continue
+            # |Phi(P)| is the number of related pairs, so P can only be a
+            # fixed point when its sole related pairs are the diagonal ones
+            if P.relation_count() != P.n:
+                continue
             RP, _ = relation_poset(P)
-            if RP.n == P.n and is_isomorphic(RP, P) is not None:
+            if is_isomorphic(RP, P) is not None:
                 hits.append(f"n{size}#{idx:03d}")
                 hit_posets.append(P)
     if mode == "posets":
@@ -393,6 +397,12 @@ def cube_shift_check(n: int) -> bool:
     """Finite shadow of the shift self-similarity of the infinite cube:
     the relation lattice of the n-cube's down-set lattice is isomorphic to
     the (n+1)-cube's down-set lattice, via an explicit composed witness."""
+    return _cube_shift(n)[0]
+
+
+def _cube_shift(n: int) -> tuple[bool, int]:
+    """``cube_shift_check(n)`` and the size of the relation lattice it
+    built, the number of comparable pairs of the n-cube's down-sets."""
     if n > 3:
         raise CapExceeded("shift check capped at n = 3")
     X = cube(n)
@@ -408,7 +418,7 @@ def cube_shift_check(n: int) -> bool:
     hom = _e_hom(X1, g, _downset_lattice(X1), E2)  # E(X x 2) -> E(cube(n+1))
     forward = [hom.mapping[w_layers.forward[k]] for k in range(Phi1.n)]
     w = IsoWitness.from_forward(forward)
-    return w.validate(Phi1.order, hom.target.order)
+    return w.validate(Phi1.order, hom.target.order), Phi1.n
 
 
 def dimension_report(n_max: int, dim_cap: int = 10) -> list[dict]:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here deliberately avoids the library's own algorithms: antichains
-by subset search, isomorphism by trying every bijection, dimension by
+by subset search, isomorphism and the canonical key by trying every
+bijection, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
 prime ideals by filtering the power set, lattice tables by searching all
 bounds, and distributivity by trying every triple.
@@ -36,6 +37,23 @@ def brute_iso(P, Q):
         ):
             return perm
     return None
+
+
+def brute_canonical_key(P):
+    """The least chunk tuple over all orderings of P's elements, where the
+    i-th chunk packs two bits (earlier <= new, new <= earlier) against each
+    earlier element in order, and the least ordering that reaches it."""
+    best = None
+    for perm in permutations(range(P.n)):
+        key = []
+        for i, v in enumerate(perm):
+            c = 0
+            for p in perm[:i]:
+                c = (c << 2) | (P.leq(p, v) << 1) | P.leq(v, p)
+            key.append(c)
+        if best is None or tuple(key) < best[0]:
+            best = (tuple(key), perm)
+    return best
 
 
 def brute_linear_extensions(P):

@@ -178,6 +178,26 @@ def test_experiments_suites_run(capsys):
         assert json.loads(out)["result"]["all_pass"] is True
 
 
+def test_experiments_shift_builds_each_downset_lattice_once(capsys, monkeypatch):
+    """The suite reads the comparable pairs of E(cube n) off the relation
+    lattice the check builds: three down-set scans per case, none more."""
+    from ordlat import duality
+
+    calls = []
+    real = duality.down_sets
+
+    def counted(P, *args, **kwargs):
+        calls.append(P.n)
+        return real(P, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "down_sets", counted)
+    code, out, _ = run(capsys, "experiments", "shift", "--n-max", "3")
+    assert code == 0
+    cases = json.loads(out)["result"]["cases"]
+    assert [cases[str(n)]["comparable_pairs"] for n in range(4)] == [3, 6, 20, 168]
+    assert len(calls) == 4 * 3
+
+
 def test_experiments_dimtable_csv(capsys):
     code, out, _ = run(capsys, "experiments", "dimtable", "--n-max", "3")
     assert code == 0

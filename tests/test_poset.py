@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,14 +8,28 @@ from hypothesis import strategies as st
 import ordlat as o
 from ordlat import AntisymmetryViolation, CapExceeded, EmptyPosetError
 from oracles import (
+    brute_canonical_key,
     brute_down_sets,
     brute_iso,
     brute_max_antichain,
     cover_dimension,
 )
 
-# frozen class counts for posets up to isomorphism, n = 1..6
-POSET_COUNTS = [1, 2, 5, 16, 63, 318]
+# frozen class counts for posets up to isomorphism, n = 1..7 (OEIS A000112)
+POSET_COUNTS = [1, 2, 5, 16, 63, 318, 2045]
+
+# SHA-256 of repr([P.up for P in enumerate_posets(n)]), n = 1..7, as written
+# by the prefix-frontier canonical key before it carried packed codes and
+# placed twins in order
+ENUMERATION_SHA256 = {
+    1: "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+    2: "c29f7b44404ae46750dd43eda03f8b36dda994e2ec588103f93ab9e853bb3e85",
+    3: "d4beabc2bc75b433b9fa5cfa71ac6f0631158bea1d67abeb21bbb010a8b90f61",
+    4: "9368439ee2cb7f0cb02b191f09f4c1add1bdb20160186e7b94a42702a6151441",
+    5: "cc9ddcc92f205b9b838c1f909a9f7c60526dafc92712c2dbcb984835b9b04bac",
+    6: "e80a99cbd60573108f6f809c820e0b1b7fa33941cf439f206b597a510e1a0804",
+    7: "026f0f2b3460b66f64b5fcedd5f066c532af55fa6cc147ca63d4c7cd1e44bb14",
+}
 
 
 def test_poset_new_chain2():
@@ -192,9 +207,32 @@ def test_dimension_split_failure_raises(monkeypatch):
 
 def test_enumeration_counts():
     for n, count in enumerate(POSET_COUNTS, start=1):
-        if n > 5:
-            break
         assert len(o.enumerate_posets(n)) == count
+
+
+def test_enumeration_matches_recorded_digests():
+    for n, digest in ENUMERATION_SHA256.items():
+        ups = repr([P.up for P in o.enumerate_posets(n)])
+        assert hashlib.sha256(ups.encode()).hexdigest() == digest, n
+
+
+def test_enumeration_checks_each_class_once(monkeypatch):
+    checked = []
+    real = o.Poset.check_axioms
+
+    def counted(P):
+        checked.append(P)
+        return real(P)
+
+    monkeypatch.setattr(o.Poset, "check_axioms", counted)
+    o.poset._enumerate_cached.cache_clear()
+    o.enumerate_posets(4)
+    o.enumerate_posets(4)
+    assert len(checked) == 1 + 2 + 5 + 16
+    monkeypatch.setattr(o.Poset, "check_axioms", lambda P: False)
+    o.poset._enumerate_cached.cache_clear()
+    with pytest.raises(o.InternalError):
+        o.enumerate_posets(3)
 
 
 def test_enumeration_no_isomorphic_duplicates():
@@ -218,6 +256,16 @@ def test_canonical_form_is_relabel_invariant():
             rng.shuffle(perm)
             Q = P.relabel(perm)
             assert o.canonical_key(Q)[0] == o.canonical_key(P)[0]
+
+
+def test_canonical_key_matches_brute_oracle():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for P in o.enumerate_posets(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            Q = P.relabel(perm)
+            assert o.canonical_key(Q) == brute_canonical_key(Q)
 
 
 @st.composite

@@ -197,6 +197,31 @@ def test_find_fixed_points_lattices_and_connected():
     assert rep.hits == ("n1#000",)
 
 
+def test_find_fixed_points_builds_phi_only_for_antichains(monkeypatch):
+    """Phi(P) is built only when P has no more related pairs than
+    elements: the 7 antichains in "posets" mode and the singleton among
+    connected posets."""
+    from ordlat import relation
+
+    built = []
+    real = relation.relation_poset
+
+    def counted(P, *args, **kwargs):
+        built.append(P)
+        return real(P, *args, **kwargs)
+
+    monkeypatch.setattr(relation, "relation_poset", counted)
+    hits = {
+        mode: o.find_fixed_points(7, mode).hits
+        for mode in relation.FIXED_POINT_MODES
+    }
+    assert len(built) == 8
+    assert all(P.is_antichain() for P in built)
+    assert len(hits["posets"]) == 7
+    assert hits["lattices"] == ()
+    assert hits["connected_posets"] == ("n1#000",)
+
+
 def test_find_fixed_points_bad_mode():
     with pytest.raises(ValueError):
         o.find_fixed_points(3, "bogus")
