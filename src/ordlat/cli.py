@@ -26,7 +26,7 @@ from .duality import (
     _spectrum,
     prime_ideals,
 )
-from .poset import enumerate_posets
+from .poset import DEFAULT_MAX_SIZE, enumerate_posets
 from .relation import (
     FIXED_POINT_MODES,
     _cube_shift,
@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ordlat",
         description="finite posets, distributive lattices, and their duality",
     )
-    p.add_argument("--max-size", type=int, default=1024,
-                   help="cap on derived carrier sizes")
+    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
+                   help="cap on input and derived carrier sizes")
     p.add_argument("--max-dim-size", type=int, default=10,
                    help="cap on posets passed to the dimension search")
     p.add_argument("--output", default=None, help="write the report here")
@@ -87,17 +87,17 @@ def _report(args, result: dict, extra_args: dict | None = None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _load(path: str):
+def _load(path: str, max_size: int):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return docio.parse_document(text)
+    return docio.parse_document(text, max_size)
 
 
 def cmd_check(args) -> tuple[str, int]:
-    kind, P = _load(args.input)
+    kind, P = _load(args.input, args.max_size)
     result: dict = {"kind": kind, "size": P.n}
     code = 0
     if kind == "lattice":
@@ -122,7 +122,7 @@ def cmd_check(args) -> tuple[str, int]:
 
 
 def cmd_phi(args) -> tuple[str, int]:
-    kind, P = _load(args.input)
+    kind, P = _load(args.input, args.max_size)
     if args.as_kind == "lattice":
         L = lattice_from_poset(P)
         RL, prs = relation_lattice(L, max_size=args.max_size)
@@ -139,7 +139,7 @@ def cmd_phi(args) -> tuple[str, int]:
 
 
 def cmd_primes(args) -> tuple[str, int]:
-    _, P = _load(args.input)
+    _, P = _load(args.input, args.max_size)
     L = lattice_from_poset(P)
     ideals = prime_ideals(L)
     result = {
@@ -150,7 +150,7 @@ def cmd_primes(args) -> tuple[str, int]:
 
 
 def cmd_spec(args) -> tuple[str, int]:
-    _, P = _load(args.input)
+    _, P = _load(args.input, args.max_size)
     L = lattice_from_poset(P)
     ideals = prime_ideals(L)
     result = {
@@ -161,7 +161,7 @@ def cmd_spec(args) -> tuple[str, int]:
 
 
 def cmd_downsets(args) -> tuple[str, int]:
-    _, P = _load(args.input)
+    _, P = _load(args.input, args.max_size)
     E, ds = _downset_lattice(P)
     result = {
         "document": docio.poset_to_document(E.order, kind="lattice"),
@@ -171,7 +171,7 @@ def cmd_downsets(args) -> tuple[str, int]:
 
 
 def cmd_image(args) -> tuple[str, int]:
-    _, P = _load(args.input)
+    _, P = _load(args.input, args.max_size)
     L = lattice_from_poset(P)
     ideals = prime_ideals(L)
     found = _image_witness(L, ideals, args.max_size)
@@ -271,7 +271,7 @@ def cmd_experiments(args) -> tuple[str, int]:
 
 
 def cmd_dot(args) -> tuple[str, int]:
-    _, P = _load(args.input)
+    _, P = _load(args.input, args.max_size)
     return docio.dot_export(P, target=args.target), 0
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
-from .poset import Poset, poset_new
+from .errors import CapExceeded, ParseError
+from .poset import DEFAULT_MAX_SIZE, Poset, poset_new
 
 SCHEMA_VERSION = "1"
 KINDS = ("poset", "lattice")
@@ -24,7 +24,9 @@ def poset_to_document(P: Poset, kind: str = "poset") -> dict:
     }
 
 
-def document_to_poset(doc) -> tuple[str, Poset]:
+def document_to_poset(doc, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset]:
+    """Validate a document and close its pairs; a ``size`` beyond
+    ``max_size`` is refused before any row is built."""
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -57,15 +59,20 @@ def document_to_poset(doc) -> tuple[str, Poset]:
         if not isinstance(labels, list) or len(labels) != size:
             raise ParseError("labels must list one name per element")
         labels = [str(x) for x in labels]
+    if size > max_size:
+        raise CapExceeded(
+            f"document size {size} exceeds the size cap {max_size} "
+            "(raise it with --max-size)"
+        )
     return kind, poset_new(size, clean, labels)
 
 
-def parse_document(text: str) -> tuple[str, Poset]:
+def parse_document(text: str, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return document_to_poset(doc)
+    return document_to_poset(doc, max_size)
 
 
 def dot_export(P: Poset, target: str = "hasse") -> str:
@@ -81,14 +88,20 @@ def dot_export(P: Poset, target: str = "hasse") -> str:
         edges = [(i, j) for i, j in P.pairs() if i != j]
     else:
         edges = P.covers()
+        # height = length of the longest chain below, read off the lower
+        # covers along a linear extension (down-sets by size)
+        lower = [[] for _ in range(P.n)]
+        for i, j in edges:
+            lower[j].append(i)
         down = P.down_masks
         height = [0] * P.n
-        for i in sorted(range(P.n), key=lambda x: down[x].bit_count()):
-            below = [j for j in range(P.n) if (down[i] >> j) & 1 and j != i]
-            height[i] = 1 + max((height[j] for j in below), default=-1)
-        for level in sorted(set(height)):
-            members = " ".join(f"n{i};" for i in range(P.n) if height[i] == level)
-            lines.append(f"  {{rank=same; {members}}}")
+        for j in sorted(range(P.n), key=lambda x: down[x].bit_count()):
+            height[j] = 1 + max((height[i] for i in lower[j]), default=-1)
+        levels: dict[int, list[str]] = {}
+        for i in range(P.n):
+            levels.setdefault(height[i], []).append(f"n{i};")
+        for level in sorted(levels):
+            lines.append(f"  {{rank=same; {' '.join(levels[level])}}}")
     for i, j in edges:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

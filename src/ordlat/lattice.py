@@ -14,7 +14,7 @@ from .errors import (
     NotHomomorphism,
     Unbounded,
 )
-from .poset import Poset, _bits, down_sets
+from .poset import Poset, down_sets
 
 DEFAULT_HOM_CAP = 6
 
@@ -42,12 +42,11 @@ class DistLattice:
 
 def _join_irreducibles(P: Poset) -> list[int]:
     """Elements whose strict down-set has a greatest element (one lower
-    cover), in index order; in a lattice these are the join-irreducibles."""
+    cover), i.e. is some element's down-row, in index order; in a lattice
+    these are the join-irreducibles."""
     down = P.down_masks
-    below = [down[j] & ~(1 << j) for j in range(P.n)]
-    return [
-        j for j, b in enumerate(below) if any(down[m] == b for m in _bits(b))
-    ]
+    rows = set(down)
+    return [j for j in range(P.n) if down[j] & ~(1 << j) in rows]
 
 
 def _check_distributive(P: Poset, meet, join) -> None:
@@ -98,7 +97,7 @@ def make_lattice(P: Poset, meet, join, bottom: int, top: int) -> DistLattice:
 
 
 def lattice_from_poset(P: Poset) -> DistLattice:
-    """Compute meet/join by bound search and validate all lattice axioms."""
+    """Read meet/join off the rows and validate all lattice axioms."""
     n = P.n
     if n <= 1:
         raise DegenerateBounds("need 0 != 1, so at least two elements")
@@ -111,24 +110,23 @@ def lattice_from_poset(P: Poset) -> DistLattice:
     if not tops:
         raise Unbounded("top")
 
+    # a greatest lower bound m of a, b has down[m] = down[a] & down[b]; a
+    # least upper bound likewise on the up-rows
+    by_down = {row: m for m, row in enumerate(down)}
+    by_up = {row: j for j, row in enumerate(P.up)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for a in range(n):
+        down_a, up_a, meet_a, join_a = down[a], P.up[a], meet[a], join[a]
         for b in range(a, n):
-            lower = down[a] & down[b]
-            glb = next(
-                (m for m in _bits(lower) if lower & ~down[m] == 0), None
-            )
+            glb = by_down.get(down_a & down[b])
             if glb is None:
                 raise NotALattice((a, b), "greatest lower bound")
-            meet[a][b] = meet[b][a] = glb
-            upper = P.up[a] & P.up[b]
-            lub = next(
-                (j for j in _bits(upper) if upper & ~P.up[j] == 0), None
-            )
+            meet_a[b] = meet[b][a] = glb
+            lub = by_up.get(up_a & P.up[b])
             if lub is None:
                 raise NotALattice((a, b), "least upper bound")
-            join[a][b] = join[b][a] = lub
+            join_a[b] = join[b][a] = lub
     _check_distributive(P, meet, join)
     return DistLattice(
         P,

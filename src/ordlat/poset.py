@@ -97,28 +97,36 @@ class Poset:
     def induced(self, elems) -> "Poset":
         """Subposet on ``elems``, reindexed in the given order."""
         elems = list(elems)
-        up = []
-        for a in elems:
-            row = 0
-            for t, b in enumerate(elems):
-                if self.leq(a, b):
-                    row |= 1 << t
-            up.append(row)
-        return Poset(len(elems), tuple(up), tuple(self.labels[a] for a in elems))
+        pos = {a: t for t, a in enumerate(elems)}
+        keep = sum(1 << a for a in pos)
+        up = tuple(
+            sum(1 << pos[b] for b in _bits(self.up[a] & keep)) for a in elems
+        )
+        return Poset(len(elems), up, tuple(self.labels[a] for a in elems))
 
     def relabel(self, perm) -> "Poset":
         """Poset with element ``perm[i]`` placed at position i."""
         return self.induced(perm)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j): i < j with nothing strictly between."""
+        """Cover pairs (i, j): i < j with nothing strictly between, in
+        lexicographic order.  A minimal element of what is left of i's
+        strict up-set is a cover of i; descend to one, then drop its
+        up-set."""
         down = self.down_masks
         out = []
         for i in range(self.n):
-            for j in _bits(self.strict_up(i)):
-                between = self.strict_up(i) & (down[j] & ~(1 << j))
-                if between == 0:
-                    out.append((i, j))
+            rem = self.strict_up(i)
+            row = []
+            while rem:
+                below = rem
+                while below:
+                    j = below.bit_length() - 1
+                    below = rem & down[j] & ~(1 << j)
+                row.append(j)
+                rem &= ~self.up[j]
+            row.sort()
+            out.extend((i, j) for j in row)
         return out
 
 
@@ -167,26 +175,71 @@ class IsoWitness:
 
 def poset_new(size: int, pairs, labels=None) -> Poset:
     """Build the poset generated by ``pairs``: reflexive-transitive closure,
-    rejected if the closure has a 2-cycle."""
+    rejected if the closure has a cycle.
+
+    The closure runs along a topological order of the pair graph, sinks
+    first: each up-row is the element's bit or'ed with the up-rows of its
+    direct successors, and each down-row likewise from the predecessors in
+    the reverse order.  A cycle raises on its least element i and the least
+    j != i in the same strongly connected class.
+    """
     if size < 0:
         raise ValueError("size must be nonnegative")
-    up = [1 << i for i in range(size)]
+    succ = [[] for _ in range(size)]
+    pred = [[] for _ in range(size)]
     for i, j in pairs:
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"pair ({i},{j}) out of range for size {size}")
-        up[i] |= 1 << j
-    for k in range(size):
-        bit = 1 << k
-        for i in range(size):
-            if up[i] & bit:
-                up[i] |= up[k]
-    for i in range(size):
-        for j in _bits(up[i]):
-            if j != i and (up[j] >> i) & 1:
-                raise AntisymmetryViolation((i, j))
+        if i != j:
+            succ[i].append(j)
+            pred[j].append(i)
+    waiting = [len(s) for s in succ]
+    order = [i for i in range(size) if not waiting[i]]
+    up = [0] * size
+    for k in order:  # grows while it is read
+        row = 1 << k
+        for j in succ[k]:
+            row |= up[j]
+        up[k] = row
+        for i in pred[k]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                order.append(i)
+    if len(order) < size:
+        _raise_on_cycle(size, succ, waiting)
+    down = [0] * size
+    for k in reversed(order):
+        row = 1 << k
+        for i in pred[k]:
+            row |= down[i]
+        down[k] = row
     if labels is None:
         labels = _default_labels(size)
-    return Poset(size, tuple(up), tuple(labels))
+    P = Poset(size, tuple(up), tuple(labels))
+    P.__dict__["down_masks"] = tuple(down)
+    return P
+
+
+def _raise_on_cycle(size: int, succ, waiting) -> None:
+    """Close the elements the topological pass left over (each reaches a
+    cycle, and only left-over elements lie on paths between them) and raise
+    on the first cycle pair in lexicographic order."""
+    rest = [i for i in range(size) if waiting[i]]
+    reach = {}
+    for i in rest:
+        reach[i] = 1 << i
+        for j in succ[i]:
+            reach[i] |= 1 << j
+    for k in rest:
+        bit = 1 << k
+        for i in rest:
+            if reach[i] & bit:
+                reach[i] |= reach[k]
+    for i in rest:
+        for j in _bits(reach[i]):
+            if j != i and j in reach and (reach[j] >> i) & 1:
+                raise AntisymmetryViolation((i, j))
+    raise InternalError("topological pass stalled without a cycle")
 
 
 def chain(n: int) -> Poset:

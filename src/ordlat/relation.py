@@ -53,16 +53,23 @@ def relation_poset(
     m = len(prs)
     if m > max_size:
         raise CapExceeded(f"relation poset has {m} elements, cap {max_size}")
-    up = []
-    labels = []
-    for a, b in prs:
-        row = 0
-        for l, (a2, b2) in enumerate(prs):
-            if P.leq(a, a2) and P.leq(b, b2):
-                row |= 1 << l
-        up.append(row)
-        labels.append(f"({P.labels[a]},{P.labels[b]})")
-    return Poset(m, tuple(up), tuple(labels)), tuple(prs)
+    # first[c] / second[d]: the pairs whose first / second component is c / d
+    first = [0] * P.n
+    second = [0] * P.n
+    for k, (c, d) in enumerate(prs):
+        first[c] |= 1 << k
+        second[d] |= 1 << k
+    # above1[a] / above2[b]: the pairs whose first / second component is
+    # >= a / >= b; row (a, b) is their intersection
+    above1 = [0] * P.n
+    above2 = [0] * P.n
+    for a in range(P.n):
+        for c in _bits(P.up[a]):
+            above1[a] |= first[c]
+            above2[a] |= second[c]
+    up = tuple(above1[a] & above2[b] for a, b in prs)
+    labels = tuple(f"({P.labels[a]},{P.labels[b]})" for a, b in prs)
+    return Poset(m, up, labels), tuple(prs)
 
 
 def relation_lattice(

@@ -1,14 +1,84 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here deliberately avoids the library's own algorithms: antichains
-by subset search, isomorphism and the canonical key by trying every
-bijection, dimension by
+Everything here deliberately avoids the library's own algorithms: the
+closure of generating pairs by Warshall's triple loop, covers, relation rows
+and lattice bounds on the definitions, antichains by subset search,
+isomorphism and the canonical key by trying every bijection, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
 prime ideals by filtering the power set, lattice tables by searching all
 bounds, and distributivity by trying every triple.
 """
 
 from itertools import combinations, permutations, product
+
+
+def brute_closure(size, pairs):
+    """Reflexive-transitive closure of ``pairs`` by Warshall's loop, as
+    up-rows (bit j of row i set iff i <= j): ``(rows, None)``, or
+    ``(None, (i, j))`` for the first i != j in lexicographic order that
+    reach each other."""
+    up = [1 << i for i in range(size)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    for k in range(size):
+        for i in range(size):
+            if (up[i] >> k) & 1:
+                up[i] |= up[k]
+    for i in range(size):
+        for j in range(size):
+            if j != i and (up[i] >> j) & 1 and (up[j] >> i) & 1:
+                return None, (i, j)
+    return up, None
+
+
+def brute_covers(P):
+    """Pairs i < j, in lexicographic order, with no k strictly between."""
+    n = P.n
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and P.leq(i, j)
+        and not any(
+            k not in (i, j) and P.leq(i, k) and P.leq(k, j) for k in range(n)
+        )
+    ]
+
+
+def brute_relation_rows(P):
+    """Up-rows of the related pairs of P, listed lexicographically, under
+    the coordinatewise order."""
+    prs = [(a, b) for a in range(P.n) for b in range(P.n) if P.leq(a, b)]
+    return [
+        sum(
+            1 << k
+            for k, (c, d) in enumerate(prs)
+            if P.leq(a, c) and P.leq(b, d)
+        )
+        for a, b in prs
+    ]
+
+
+def brute_first_missing_bound(P):
+    """The first defect that keeps P from being a bounded lattice: "bottom"
+    or "top" when that element is missing, else the first pair a <= b (by
+    index, lexicographically) with no greatest lower bound or, failing that,
+    no least upper bound, as ``((a, b), what)``; None for a lattice."""
+    n = P.n
+    for missing, holds in (("bottom", lambda m, x: P.leq(m, x)),
+                           ("top", lambda m, x: P.leq(x, m))):
+        if not any(all(holds(m, x) for x in range(n)) for m in range(n)):
+            return missing
+    for a in range(n):
+        for b in range(a, n):
+            lower = [m for m in range(n) if P.leq(m, a) and P.leq(m, b)]
+            if not any(all(P.leq(x, m) for x in lower) for m in lower):
+                return (a, b), "greatest lower bound"
+            upper = [j for j in range(n) if P.leq(a, j) and P.leq(b, j)]
+            if not any(all(P.leq(j, x) for x in upper) for j in upper):
+                return (a, b), "least upper bound"
+    return None
 
 
 def brute_max_antichain(P) -> int:

@@ -85,6 +85,71 @@ def test_phi_cap_exceeded(capsys):
     )
     assert code == 1
     assert "CapExceeded" in err
+    # the document fits the cap, its 6 related pairs do not
+    code, _, err = run(
+        capsys, "--max-size", "3", "phi", fx("chain3_lattice.json")
+    )
+    assert code == 1
+    assert "CapExceeded: relation poset has 6 elements, cap 3" in err
+
+
+def test_document_size_is_capped_before_any_row_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    """A 10^6-element document would need ~60 GB of rows: it is refused at
+    parse time, naming the cap, its limit, the size and the flag."""
+    small = {"schema_version": "1", "kind": "poset", "size": 3, "leq_pairs": []}
+    assert docio.document_to_poset(small, max_size=3)[1].n == 3
+
+    def no_rows(*args):
+        raise AssertionError("rows built for a document over the cap")
+
+    monkeypatch.setattr(docio, "poset_new", no_rows)
+    with pytest.raises(o.CapExceeded):
+        docio.document_to_poset(small, max_size=2)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**small, "size": 10**6}))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CapExceeded: ")
+    for part in ("1000000", "1024", "--max-size"):
+        assert part in err
+
+
+def chain_document(n, kind):
+    return {"schema_version": "1", "kind": kind, "size": n,
+            "leq_pairs": [[i, i + 1] for i in range(n - 1)]}
+
+
+@pytest.mark.parametrize("n,kind,budget_s", [(1000, "lattice", 20), (3000, "poset", 5)])
+def test_check_on_long_chains_stays_in_budget(tmp_path, n, kind, budget_s):
+    """Time and memory of `check` on long chains, whose closure, covers and
+    lattice tables are the quadratic worst case, in a child process."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_document(n, kind)))
+    src = os.path.dirname(os.path.dirname(o.__file__))
+    # the child's address space is limited to 1 GiB, so a regression fails
+    # instead of exhausting the machine's memory
+    code = (
+        "import resource, subprocess, sys, time\n"
+        "def limit():\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "t = time.perf_counter()\n"
+        "done = subprocess.run(sys.argv[1:], capture_output=True, preexec_fn=limit)\n"
+        "wall = time.perf_counter() - t\n"
+        "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(done.returncode, wall, rss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "ordlat.cli", "--max-size", str(n), "check", str(path)]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=10 * budget_s,
+    )
+    status, wall, rss_kb = done.stdout.split()
+    assert int(status) == 0
+    assert float(wall) < budget_s
+    assert int(rss_kb) < 300 * 1024
 
 
 def test_primes_chain3(capsys):

@@ -1,14 +1,21 @@
+import random
+
 import pytest
 
 import ordlat as o
 from ordlat import (
     CapExceeded,
     DegenerateBounds,
+    NotALattice,
     NotDistributive,
     NotHomomorphism,
     Unbounded,
 )
-from oracles import brute_first_failing_triple, brute_meet_join
+from oracles import (
+    brute_first_failing_triple,
+    brute_first_missing_bound,
+    brute_meet_join,
+)
 
 
 def diamond_m3():
@@ -147,3 +154,33 @@ def test_distributivity_matches_triple_oracle_on_all_small_lattices():
                     o.lattice_from_poset(P)
                 assert exc.value.triple == triple
     assert (lattices, distributive) == (77, 20)
+
+
+def test_missing_bounds_match_oracle_on_all_small_posets():
+    """Every non-lattice of 2-6 elements, as enumerated and relabelled,
+    fails on the oracle's first defect with the same message."""
+    rng = random.Random(4)
+    non_lattices = 0
+    for n in range(2, 7):
+        for P in o.enumerate_posets(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for Q in (P, P.relabel(perm)):
+                defect = brute_first_missing_bound(Q)
+                if defect is None:
+                    try:
+                        o.lattice_from_poset(Q)
+                    except NotDistributive:
+                        pass
+                    continue
+                non_lattices += 1
+                if isinstance(defect, str):
+                    expected = Unbounded(defect)
+                else:
+                    expected = NotALattice(*defect)
+                with pytest.raises(NotALattice) as exc:
+                    o.lattice_from_poset(Q)
+                assert type(exc.value) is type(expected)
+                assert str(exc.value) == str(expected)
+    # 404 posets of 2-6 elements, 24 of them lattices
+    assert non_lattices == 2 * (404 - 24)

@@ -9,6 +9,8 @@ import ordlat as o
 from ordlat import AntisymmetryViolation, CapExceeded, EmptyPosetError
 from oracles import (
     brute_canonical_key,
+    brute_closure,
+    brute_covers,
     brute_down_sets,
     brute_iso,
     brute_max_antichain,
@@ -43,14 +45,92 @@ def test_poset_new_singleton():
 
 
 def test_poset_new_rejects_cycle():
-    with pytest.raises(AntisymmetryViolation):
-        o.poset_new(3, [(0, 1), (1, 2), (2, 0)])
+    # in the second list 5 -> 6 -> 5 and 2 -> 3 -> 4 -> 2 are cycles: 2 is
+    # the least element on one, and 3 the least other element of its class
+    for n, pairs, cycle in [
+        (3, [(0, 1), (1, 2), (2, 0)], (0, 1)),
+        (7, [(5, 6), (6, 5), (4, 2), (3, 4), (2, 3), (0, 1), (1, 2)], (2, 3)),
+    ]:
+        with pytest.raises(AntisymmetryViolation) as exc:
+            o.poset_new(n, pairs)
+        assert exc.value.cycle == cycle == brute_closure(n, pairs)[1]
 
 
 def test_poset_new_closes_transitively():
     P = o.poset_new(3, [(0, 1), (1, 2)])
     assert P.leq(0, 2)
     assert P.check_axioms()
+
+
+@st.composite
+def generating_pairs(draw):
+    """Pair lists on 0-40 elements, either acyclic under a random labelling
+    or unconstrained (mostly cyclic), with self-loops and duplicates."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        pairs = [(perm[min(i, j)], perm[max(i, j)]) for i, j in pairs]
+    pairs += [(k, k) for k in draw(st.lists(node, max_size=3))]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))
+    return n, pairs
+
+
+def transpose(rows):
+    n = len(rows)
+    return [sum(1 << i for i in range(n) if (rows[i] >> j) & 1) for j in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generating_pairs())
+def test_closure_matches_warshall_oracle(case):
+    n, pairs = case
+    rows, cycle = brute_closure(n, pairs)
+    if cycle is not None:
+        with pytest.raises(AntisymmetryViolation) as exc:
+            o.poset_new(n, pairs)
+        assert exc.value.cycle == cycle
+        return
+    P = o.poset_new(n, pairs)
+    assert list(P.up) == rows
+    # poset_new primes the down-rows; they must be the transpose
+    assert "down_masks" in P.__dict__
+    assert list(P.down_masks) == transpose(rows)
+
+
+def random_relabelled_poset(rng, n, p):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return o.poset_new(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+def test_covers_match_oracle_on_small_classes():
+    for n in range(1, 7):
+        for P in o.enumerate_posets(n):
+            assert P.covers() == brute_covers(P)
+
+
+def test_covers_match_oracle_on_random_posets():
+    rng = random.Random(5)
+    for _ in range(30):
+        P = random_relabelled_poset(rng, rng.randint(1, 60), rng.uniform(0.02, 0.3))
+        assert P.covers() == brute_covers(P)
+
+
+def test_induced_matches_the_definition():
+    rng = random.Random(3)
+    for P in o.enumerate_posets(5):
+        elems = rng.sample(range(5), rng.randint(0, 5))
+        Q = P.induced(elems)
+        assert Q.up == tuple(
+            sum(1 << t for t, b in enumerate(elems) if P.leq(a, b)) for a in elems
+        )
+        assert Q.labels == tuple(P.labels[a] for a in elems)
 
 
 def test_chain_and_antichain_counts():

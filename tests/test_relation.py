@@ -4,7 +4,7 @@ import pytest
 
 import ordlat as o
 from ordlat import CapExceeded, OrdlatError
-from oracles import brute_dimension, brute_iso
+from oracles import brute_dimension, brute_iso, brute_relation_rows
 
 
 def lat(P):
@@ -48,6 +48,25 @@ def test_relation_poset_size_is_pair_count():
             RP, _ = o.relation_poset(P)
             assert RP.n == P.relation_count()
             assert (RP.n == P.n) == P.is_antichain()
+
+
+def test_relation_poset_matches_oracle():
+    posets = [P for n in range(1, 6) for P in o.enumerate_posets(n)]
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = rng.uniform(0.05, 0.5)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        posets.append(o.poset_new(n, pairs))
+    for P in posets:
+        RP, prs = o.relation_poset(P)
+        assert list(RP.up) == brute_relation_rows(P)
+        assert list(prs) == [
+            (a, b) for a in range(P.n) for b in range(P.n) if P.leq(a, b)
+        ]
 
 
 def test_relation_lattice_sizes():

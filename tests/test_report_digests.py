@@ -1,0 +1,120 @@
+"""Byte-identity pins: SHA-256 digests of whole CLI outputs (exit code,
+stdout, stderr) on seeded documents large enough to exercise the bit-row
+builders (closure, covers, lattice tables, relation rows).
+
+The documents are generated here with plain ``random`` and no library code,
+and the digests were recorded with the element-by-element builders that the
+bit-row ones replaced, so any change in a report, an error message or a pair
+order shows up as a changed digest.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from ordlat.cli import main
+
+
+def _document(kind, n, pairs):
+    return {
+        "schema_version": "1",
+        "kind": kind,
+        "size": n,
+        "labels": [f"v{i}" for i in range(n)],
+        "leq_pairs": [list(p) for p in pairs],
+    }
+
+
+def _shuffled(rng, n, pairs):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return sorted((perm[i], perm[j]) for i, j in pairs)
+
+
+def sparse_poset_document(seed=5, levels=(120, 100, 80)):
+    """Three levels; each element above the bottom one gets one or two
+    generating pairs from random elements of the levels below, so that
+    lower covers differ in height."""
+    rng = random.Random(seed)
+    starts = [sum(levels[:t]) for t in range(len(levels))]
+    n = sum(levels)
+    pairs = set()
+    for t in range(1, len(levels)):
+        for j in range(starts[t], starts[t] + levels[t]):
+            for _ in range(rng.choice((1, 1, 2))):
+                pairs.add((rng.randrange(starts[t]), j))
+    return _document("poset", n, _shuffled(rng, n, pairs))
+
+
+def downset_lattice_document(seed=6, k=8, p=0.3):
+    """E(X) for a random order X on k points, generated by its covers (add
+    one point to a down-set), shuffled."""
+    rng = random.Random(seed)
+    below = [0] * k
+    for j in range(k):
+        for i in range(j):
+            if rng.random() < p:
+                below[j] |= 1 << i | below[i]
+    ds = [s for s in range(1 << k)
+          if all(below[x] & ~s == 0 for x in range(k) if (s >> x) & 1)]
+    index = {s: t for t, s in enumerate(ds)}
+    covers = [(index[s], index[s | 1 << x]) for s in ds for x in range(k)
+              if not (s >> x) & 1 and (s | 1 << x) in index]
+    return _document("lattice", len(ds), _shuffled(rng, len(ds), covers))
+
+
+def cyclic_document():
+    """A 12-element chain with a back edge from 9 to 4."""
+    pairs = [(i, i + 1) for i in range(11)] + [(9, 4)]
+    return _document("poset", 12, pairs)
+
+
+CASES = {
+    "sparse300": sparse_poset_document,
+    "downsets54": downset_lattice_document,
+    "cycle12": cyclic_document,
+}
+
+# (document, argv after the path) -> SHA-256 of repr((code, stdout, stderr)),
+# with the document's path written as "@doc"
+PINS = {
+    ("sparse300", ("dot", "--target", "hasse")):
+        "75d4d876c8f96ad6040c6009508d297808ba133b9d7cded61ee0c52758337588",
+    ("sparse300", ("dot", "--target", "order")):
+        "5c3b62b477af4d785b36b095ee373558a67f5716a77a5daaa59f607a2b7bdaa4",
+    ("sparse300", ("check",)):
+        "99c7e2f7cc5598fdcd76c77affe52c667c39b65dc6c45a0878ef1b2c5376b708",
+    ("sparse300", ("phi",)):
+        "1e4580e68c9076ad2a3fbc0a22b46a54bd604b66ce6559cf949b404959b626f6",
+    ("downsets54", ("check",)):
+        "d241a7c1ff3a179933a44647bda4bef9d3a54b2af1f540bdaf51820bc61074ed",
+    ("downsets54", ("phi", "--as", "lattice")):
+        "70716c9091a0bad5eb2c0dce657961a7157df70b06b4e310edc92bba3219d58a",
+    ("cycle12", ("check",)):
+        "24384abe5e207aadcb2a2d66dfabb4d1d927be6ea5311203ed4ecefa0446c50a",
+}
+
+
+def digest(capsys, path, command, rest):
+    code = main([command, str(path), *rest])
+    out = capsys.readouterr()
+    text = repr((code, out.out, out.err)).replace(str(path), "@doc")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generated_documents_have_the_intended_sizes():
+    assert sparse_poset_document()["size"] == 300
+    assert downset_lattice_document()["size"] == 54
+
+
+@pytest.mark.parametrize(
+    "case,argv",
+    [pytest.param(case, argv, id="-".join((case, *argv)).replace("--", ""))
+     for case, argv in sorted(PINS)],
+)
+def test_report_matches_recorded_digest(tmp_path, capsys, case, argv):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(CASES[case]()))
+    assert digest(capsys, path, argv[0], argv[1:]) == PINS[(case, argv)]
