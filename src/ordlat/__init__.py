@@ -41,7 +41,6 @@ from .lattice import (
     identity_hom,
     join_irreducibles,
     lattice_from_poset,
-    make_lattice,
 )
 from .duality import (
     PrimeIdeal,

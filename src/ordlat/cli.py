@@ -42,14 +42,28 @@ from .relation import (
 SUITES = ("corollary", "lemma51", "fixedpoints", "shift", "dimtable")
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for caps and sizes: an int, refused when negative; a
+    non-int is refused in the words argparse uses for ``type=int``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid nonnegative int value: {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ordlat",
         description="finite posets, distributive lattices, and their duality",
     )
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
+    p.add_argument("--max-size", type=_nonnegative, default=DEFAULT_MAX_SIZE,
                    help="cap on input and derived carrier sizes")
-    p.add_argument("--max-dim-size", type=int, default=10,
+    p.add_argument("--max-dim-size", type=_nonnegative, default=10,
                    help="cap on posets passed to the dimension search")
     p.add_argument("--output", default=None, help="write the report here")
     sub = p.add_subparsers(dest="command", required=True)
@@ -65,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiments")
     sp.add_argument("suite", choices=SUITES)
-    sp.add_argument("--n-max", type=int, default=4)
+    sp.add_argument("--n-max", type=_nonnegative, default=4)
 
     sp = sub.add_parser("dot")
     sp.add_argument("input")
@@ -84,7 +98,58 @@ def _report(args, result: dict, extra_args: dict | None = None) -> str:
         "config": _config(args),
         "result": result,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _dump(payload) + "\n"
+
+
+def _dump(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed dicts,
+    lists, str, int, bool and None, writing int lists and [i, j] pair lists
+    without a call per number; any other type raises TypeError."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    return "".join(out)
+
+
+def _emit(obj, nl: str, out: list[str]) -> None:
+    """Append obj's indented JSON to out; ``nl`` is a newline followed by
+    the indent of obj's own line."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            out.append(sep + json.dumps(key) + ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + nl + "]")
+        elif all(type(x) is list and len(x) == 2 and type(x[0]) is int
+                 and type(x[1]) is int for x in obj):
+            deep = inner + "  "
+            out.append("[" + inner + ("," + inner).join(
+                [f"[{deep}{i},{deep}{j}{inner}]" for i, j in obj]) + nl + "]")
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _emit(x, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif kind in (str, int, bool) or obj is None:
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot write {kind.__name__} into a report")
 
 
 def _load(path: str, max_size: int):

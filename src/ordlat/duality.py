@@ -15,7 +15,7 @@ from .errors import (
     InternalError,
     NotOrderPreserving,
 )
-from .lattice import DistLattice, LatticeHom, hom_new, make_lattice
+from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
 from .lattice import _join_irreducibles
 from .poset import IsoWitness, Poset, _bits, down_sets
 
@@ -96,11 +96,22 @@ def prime_ideals(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> list[PrimeI
 def _inclusion_order(masks: list[int], names) -> Poset:
     """The bitmasks under inclusion, in list order, each labelled by the
     names of its members."""
+    # holding[x]: the masks that contain x; the masks above m are those
+    # holding every member of m
+    holding = [0] * len(names)
+    for j, m in enumerate(masks):
+        for x in _bits(m):
+            holding[x] |= 1 << j
+    full = (1 << len(masks)) - 1
     up = []
     labels = []
     for m in masks:
-        up.append(sum(1 << j for j, m2 in enumerate(masks) if m & ~m2 == 0))
-        labels.append("{" + ",".join(names[a] for a in _bits(m)) + "}")
+        members = list(_bits(m))
+        row = full
+        for x in members:
+            row &= holding[x]
+        up.append(row)
+        labels.append("{" + ",".join(names[x] for x in members) + "}")
     return Poset(len(masks), tuple(up), tuple(labels))
 
 
@@ -171,12 +182,7 @@ def _downset_lattice(
     if X.n == 0:
         raise DegenerateBounds("empty space has a one-element down-set lattice")
     ds = down_sets(X, cap=cap, max_count=max_count)
-    index = {m: k for k, m in enumerate(ds)}
-    n = len(ds)
-    P = _inclusion_order(ds, X.labels)
-    meet = [[index[ds[i] & ds[j]] for j in range(n)] for i in range(n)]
-    join = [[index[ds[i] | ds[j]] for j in range(n)] for i in range(n)]
-    return make_lattice(P, meet, join, index[0], index[X.full_mask]), ds
+    return lattice_from_poset(_inclusion_order(ds, X.labels)), ds
 
 
 def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:

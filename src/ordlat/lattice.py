@@ -65,37 +65,6 @@ def _check_distributive(P: Poset, meet, join) -> None:
     raise InternalError("distributivity count and triple search disagree")
 
 
-def make_lattice(P: Poset, meet, join, bottom: int, top: int) -> DistLattice:
-    """Validate externally-computed tables and wrap them up."""
-    n = P.n
-    if n <= 1:
-        raise DegenerateBounds("need 0 != 1, so at least two elements")
-    down = P.down_masks
-    full = P.full_mask
-    if P.up[bottom] != full:
-        raise Unbounded("bottom")
-    if down[top] != full:
-        raise Unbounded("top")
-    for a in range(n):
-        for b in range(n):
-            m = meet[a][b]
-            lower = down[a] & down[b]
-            if not (lower >> m) & 1 or lower & ~down[m]:
-                raise NotALattice((a, b), "greatest lower bound")
-            j = join[a][b]
-            upper = P.up[a] & P.up[b]
-            if not (upper >> j) & 1 or upper & ~P.up[j]:
-                raise NotALattice((a, b), "least upper bound")
-    _check_distributive(P, meet, join)
-    return DistLattice(
-        P,
-        tuple(tuple(row) for row in meet),
-        tuple(tuple(row) for row in join),
-        bottom,
-        top,
-    )
-
-
 def lattice_from_poset(P: Poset) -> DistLattice:
     """Read meet/join off the rows and validate all lattice axioms."""
     n = P.n

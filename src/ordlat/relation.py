@@ -7,6 +7,7 @@ in its image, and desk-scale fixed-point and dimension surveys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceeded, InternalError, OrdlatError
 from .lattice import (
@@ -14,7 +15,6 @@ from .lattice import (
     LatticeHom,
     hom_new,
     lattice_from_poset,
-    make_lattice,
 )
 from .duality import (
     PrimeIdeal,
@@ -75,26 +75,27 @@ def relation_poset(
 def relation_lattice(
     L: DistLattice, max_size: int = DEFAULT_MAX_SIZE
 ) -> tuple[DistLattice, PairMap]:
-    """Relation poset of L with componentwise meet/join; verified to be
-    closed inside L x L and revalidated as a bounded distributive lattice."""
+    """Relation poset of L as a bounded distributive lattice, its tables
+    verified to be the componentwise operations of L x L: Phi(L) is a
+    (0,1)-sublattice of L x L."""
     RP, prs = relation_poset(L.order, max_size=max_size)
-    index = {pr: k for k, pr in enumerate(prs)}
-    m = len(prs)
-    meet = [[0] * m for _ in range(m)]
-    join = [[0] * m for _ in range(m)]
-    for k, (a, b) in enumerate(prs):
-        for l, (c, d) in enumerate(prs):
-            lo = (L.meet[a][c], L.meet[b][d])
-            hi = (L.join[a][c], L.join[b][d])
-            if lo not in index or hi not in index:
+    lat = lattice_from_poset(RP)
+    # row k = (a, b) of a table, read through the first (second) components,
+    # must be row a (b) of L's table read at the first (second) components
+    p1 = tuple(a for a, _ in prs)
+    p2 = tuple(b for _, b in prs)
+    at1, at2 = itemgetter(*p1), itemgetter(*p2)
+    for table, ltable in ((lat.meet, L.meet), (lat.join, L.join)):
+        rows1 = [at1(row) for row in ltable]
+        rows2 = [at2(row) for row in ltable]
+        for row, (a, b) in zip(table, prs):
+            proj = itemgetter(*row)
+            if proj(p1) != rows1[a] or proj(p2) != rows2[b]:
                 raise InternalError(
-                    "componentwise operations left the relation carrier"
+                    "relation lattice operations are not componentwise"
                 )
-            meet[k][l] = index[lo]
-            join[k][l] = index[hi]
-    lat = make_lattice(
-        RP, meet, join, index[(L.bottom, L.bottom)], index[(L.top, L.top)]
-    )
+    if (prs[lat.bottom], prs[lat.top]) != ((L.bottom,) * 2, (L.top,) * 2):
+        raise InternalError("relation lattice bounds are not (0,0) and (1,1)")
     return lat, prs
 
 

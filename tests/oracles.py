@@ -6,7 +6,8 @@ and lattice bounds on the definitions, antichains by subset search,
 isomorphism and the canonical key by trying every bijection, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
 prime ideals by filtering the power set, lattice tables by searching all
-bounds, and distributivity by trying every triple.
+bounds (and checked against all bounds), inclusion orders by comparing
+every two masks, and distributivity by trying every triple.
 """
 
 from itertools import combinations, permutations, product
@@ -282,3 +283,34 @@ def brute_first_failing_triple(meet, join):
         if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
             return (a, b, c)
     return None
+
+
+def brute_check_tables(P, meet, join, bottom, top):
+    """The first defect of lattice tables over P, or None: "bottom" or
+    "top" when that element is not least or greatest, else the first pair
+    (a, b) whose meet is not its greatest lower bound or whose join is not
+    its least upper bound, else the first triple that does not distribute."""
+    n = P.n
+    if not all(P.leq(bottom, x) for x in range(n)):
+        return "bottom"
+    if not all(P.leq(x, top) for x in range(n)):
+        return "top"
+    for a in range(n):
+        for b in range(n):
+            m, j = meet[a][b], join[a][b]
+            lower = [x for x in range(n) if P.leq(x, a) and P.leq(x, b)]
+            upper = [x for x in range(n) if P.leq(a, x) and P.leq(b, x)]
+            if m not in lower or not all(P.leq(x, m) for x in lower):
+                return (a, b), "greatest lower bound"
+            if j not in upper or not all(P.leq(j, x) for x in upper):
+                return (a, b), "least upper bound"
+    triple = brute_first_failing_triple(meet, join)
+    return None if triple is None else (triple, "distributivity")
+
+
+def brute_inclusion_order(masks):
+    """Up-rows of the bitmasks under inclusion, in list order: bit j of
+    row i is set iff masks[i] is a subset of masks[j]."""
+    return [
+        sum(1 << j for j, m2 in enumerate(masks) if m & ~m2 == 0) for m in masks
+    ]

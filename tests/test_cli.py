@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordlat as o
-from ordlat import docio
+from ordlat import cli, docio
 from ordlat.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -46,6 +48,16 @@ def test_check_malformed_json(capsys):
 
 def test_usage_error_returns_2(capsys):
     assert main(["bogus-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-size", "-1", "check", fx("chain4_lattice.json")],
+    ["--max-dim-size", "-1", "experiments", "dimtable", "--n-max", "2"],
+    ["experiments", "corollary", "--n-max", "-1"],
+])
+def test_negative_caps_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid nonnegative int value: '-1'" in capsys.readouterr().err
 
 
 def test_threads_flag_is_a_usage_error(capsys):
@@ -325,3 +337,41 @@ def test_parse_rejects_bad_documents():
     for doc in bad:
         with pytest.raises(o.ParseError):
             docio.document_to_poset(doc)
+
+
+KEYS = st.text(alphabet=st.sampled_from('ab"\\/\n\u00e9\u2603'), max_size=4)
+INTS = st.integers(-(10**12), 10**12)
+SCALARS = st.none() | st.booleans() | INTS | st.text(max_size=5)
+PAYLOADS = st.recursive(
+    SCALARS | st.lists(INTS) | st.lists(st.lists(INTS, min_size=2, max_size=2)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_report_writer_matches_json_dumps(payload):
+    assert cli._dump(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [],
+    {"a": {}, "b": [[], {}]},
+    [True, 1],
+    [[True, 1], [2, 3]],
+    [[1, 2], [1, 2, 3]],
+    [[1, 2], [3, None]],
+    [[1, 2], "x"],
+    {"\"q\\": [-1, 0, 1], "\u00e9": None, "\u2603": False},
+])
+def test_report_writer_takes_the_general_path_where_it_must(payload):
+    assert cli._dump(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [{1, 2}, {"a": (1, 2)}, [[1, 2], {3}], {1: 2}])
+def test_report_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._dump(payload)

@@ -1,9 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordlat as o
 from ordlat import DegenerateBounds, OrdlatError
-from ordlat.duality import is_filter, is_ideal, is_prime_ideal
-from oracles import brute_prime_ideals
+from ordlat.duality import (
+    _downset_lattice,
+    _inclusion_order,
+    is_filter,
+    is_ideal,
+    is_prime_ideal,
+)
+from oracles import brute_check_tables, brute_inclusion_order, brute_prime_ideals
 
 
 def lat(P):
@@ -102,6 +110,49 @@ def test_clopen_downset_lattice_examples():
     B = o.clopen_downset_lattice(o.antichain(2))
     assert B.n == 4
     assert o.clopen_downset_lattice(o.cube(3)).n == 20
+
+
+@st.composite
+def mask_lists(draw):
+    """Distinct masks over a ground set of 0-8 points, in drawn order, with
+    the empty and the full mask each present or not."""
+    size = draw(st.integers(0, 8))
+    full = (1 << size) - 1
+    masks = set(draw(st.lists(st.integers(0, full), max_size=20)))
+    for m in (0, full):
+        if draw(st.booleans()):
+            masks.add(m)
+    return size, draw(st.permutations(sorted(masks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_lists())
+def test_inclusion_order_matches_pairwise_oracle(drawn):
+    size, masks = drawn
+    names = [chr(ord("a") + x) for x in range(size)]
+    P = _inclusion_order(masks, names)
+    assert list(P.up) == brute_inclusion_order(masks)
+    assert P.labels == tuple(
+        "{" + ",".join(names[x] for x in range(size) if (m >> x) & 1) + "}"
+        for m in masks
+    )
+
+
+def test_downset_lattice_tables_are_intersection_and_union():
+    """On every poset of at most 4 points the tables pass the table oracle,
+    and meet and join are intersection and union of the down-sets."""
+    for n in range(1, 5):
+        for X in o.enumerate_posets(n):
+            E, ds = _downset_lattice(X)
+            assert brute_check_tables(
+                E.order, E.meet, E.join, E.bottom, E.top
+            ) is None
+            index = {m: k for k, m in enumerate(ds)}
+            assert (ds[E.bottom], ds[E.top]) == (0, X.full_mask)
+            for i in range(E.n):
+                for j in range(E.n):
+                    assert E.meet[i][j] == index[ds[i] & ds[j]]
+                    assert E.join[i][j] == index[ds[i] | ds[j]]
 
 
 def test_clopen_downset_lattice_empty_rejected():

@@ -12,6 +12,7 @@ from ordlat import (
     Unbounded,
 )
 from oracles import (
+    brute_check_tables,
     brute_first_failing_triple,
     brute_first_missing_bound,
     brute_meet_join,
@@ -154,6 +155,24 @@ def test_distributivity_matches_triple_oracle_on_all_small_lattices():
                     o.lattice_from_poset(P)
                 assert exc.value.triple == triple
     assert (lattices, distributive) == (77, 20)
+
+
+def test_table_oracle_finds_each_kind_of_defect():
+    L = o.lattice_from_poset(o.chain(3))
+    meet, join = [list(r) for r in L.meet], [list(r) for r in L.join]
+    assert brute_check_tables(L.order, meet, join, 0, 2) is None
+    assert brute_check_tables(L.order, meet, join, 2, 2) == "bottom"
+    assert brute_check_tables(L.order, meet, join, 0, 0) == "top"
+    meet[0][1] = 1
+    assert brute_check_tables(L.order, meet, join, 0, 2) == (
+        (0, 1), "greatest lower bound")
+    meet[0][1] = 0
+    join[2][0] = 0
+    assert brute_check_tables(L.order, meet, join, 0, 2) == (
+        (2, 0), "least upper bound")
+    M3 = diamond_m3()
+    assert brute_check_tables(M3, *brute_meet_join(M3), 0, 4) == (
+        (1, 2, 3), "distributivity")
 
 
 def test_missing_bounds_match_oracle_on_all_small_posets():

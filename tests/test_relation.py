@@ -1,10 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
 import ordlat as o
-from ordlat import CapExceeded, OrdlatError
-from oracles import brute_dimension, brute_iso, brute_relation_rows
+from ordlat import CapExceeded, InternalError, OrdlatError, relation
+from oracles import (
+    brute_check_tables,
+    brute_dimension,
+    brute_iso,
+    brute_relation_rows,
+)
 
 
 def lat(P):
@@ -79,6 +85,53 @@ def test_relation_lattice_sizes():
 def test_relation_lattice_cap():
     with pytest.raises(CapExceeded):
         o.relation_lattice(lat(o.chain(5)), max_size=10)
+
+
+def test_relation_lattice_is_a_sublattice_of_the_square():
+    """On every distributive lattice of 2-7 elements and on chains of up to
+    12, Phi(L)'s tables are L's operations in each component, with bounds
+    (0,0) and (1,1); on the small ones they also pass the table oracle."""
+    small = lattice_valid(
+        P for n in range(2, 8) for P in o.enumerate_posets(n)
+    )
+    assert len(small) == 20
+    chains = [lat(o.chain(n)) for n in range(2, 13)]
+    for L in small + chains:
+        PhiL, prs = o.relation_lattice(L)
+        index = {pr: k for k, pr in enumerate(prs)}
+        for k, (a, b) in enumerate(prs):
+            for l, (c, d) in enumerate(prs):
+                assert PhiL.meet[k][l] == index[L.meet[a][c], L.meet[b][d]]
+                assert PhiL.join[k][l] == index[L.join[a][c], L.join[b][d]]
+        assert prs[PhiL.bottom] == (L.bottom, L.bottom)
+        assert prs[PhiL.top] == (L.top, L.top)
+    for L in small:
+        PhiL, _ = o.relation_lattice(L)
+        assert brute_check_tables(
+            PhiL.order, PhiL.meet, PhiL.join, PhiL.bottom, PhiL.top
+        ) is None
+
+
+def _rotate_second_row(rows):
+    row = rows[1]
+    return rows[:1] + (row[1:] + row[:1],) + rows[2:]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda L: dataclasses.replace(L, meet=_rotate_second_row(L.meet)),
+    lambda L: dataclasses.replace(L, join=_rotate_second_row(L.join)),
+    lambda L: dataclasses.replace(L, bottom=L.top),
+], ids=["meet", "join", "bottom"])
+def test_relation_lattice_refuses_tables_that_are_not_componentwise(
+    monkeypatch, spoil
+):
+    """A table with one row rotated is still the table of some operation,
+    but not the componentwise one; a moved bottom is not (0,0).  The runtime
+    check raises on each."""
+    real = relation.lattice_from_poset
+    monkeypatch.setattr(relation, "lattice_from_poset", lambda P: spoil(real(P)))
+    with pytest.raises(InternalError):
+        o.relation_lattice(lat(o.chain(3)))
 
 
 def test_relation_hom_identity_and_collapse():
