@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import docio
 from .errors import (
@@ -85,6 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--target", choices=("order", "hasse"), default="hasse")
     return p
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept: parsing never
+    changes it, and a build costs far more than a parse."""
+    return build_parser()
 
 
 def _config(args) -> dict:
@@ -353,9 +361,8 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -82,15 +82,16 @@ class Poset:
         )
 
     def check_axioms(self) -> bool:
-        """Direct triple-loop check of reflexivity/antisymmetry/transitivity."""
-        n = self.n
-        for i in range(n):
-            if not self.leq(i, i):
+        """Reflexivity, antisymmetry and transitivity, row by row: i is in
+        its own up-row, and every other j in it has i outside its up-row and
+        an up-row inside i's."""
+        up = self.up
+        for i in range(self.n):
+            row = up[i]
+            if not (row >> i) & 1:
                 return False
-            for j in range(n):
-                if i != j and self.leq(i, j) and self.leq(j, i):
-                    return False
-                if self.leq(i, j) and self.up[j] & ~self.up[i]:
+            for j in _bits(row & self.full_mask & ~(1 << i)):
+                if (up[j] >> i) & 1 or up[j] & ~row:
                     return False
         return True
 
@@ -587,26 +588,39 @@ def canonical_form(P: Poset) -> Poset:
     return Poset(Q.n, Q.up, _default_labels(Q.n))
 
 
+def _iso_invariant(P: Poset) -> tuple[tuple[int, int], ...]:
+    """The sorted (down-size, up-size) profile: equal for isomorphic posets,
+    and compared by ``is_isomorphic`` before it searches."""
+    return tuple(sorted(_iso_profile(P)))
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[Poset, ...]:
     """The classes of ``enumerate_posets(n)``, each checked against the
-    poset axioms once, when it is built."""
-    if n == 1:
-        reps = (antichain(1),)
-    else:
-        out: dict[tuple, Poset] = {}
-        bit = 1 << (n - 1)
-        for Q in _enumerate_cached(n - 1):
-            for D in down_sets(Q):
-                up = list(Q.up) + [bit]
-                for i in _bits(D):
-                    up[i] |= bit
-                cand = Poset(n, tuple(up), _default_labels(n))
-                key, perm = canonical_key(cand)
-                if key not in out:
-                    rep = cand.relabel(perm)
-                    out[key] = Poset(n, rep.up, _default_labels(n))
-        reps = tuple(out[k] for k in sorted(out))
+    poset axioms once, when it is built; n = 0 is the empty poset that
+    n = 1 grows from."""
+    if n == 0:
+        return (Poset(0, (), ()),)
+    labels = _default_labels(n)
+    bit = 1 << (n - 1)
+    found: dict[tuple, list[Poset]] = {}  # invariant -> classes found so far
+    out: dict[tuple, Poset] = {}
+    for Q in _enumerate_cached(n - 1):
+        for D in down_sets(Q):
+            up = list(Q.up) + [bit]
+            for i in _bits(D):
+                up[i] |= bit
+            cand = Poset(n, tuple(up), labels)
+            # the new element is maximal: no old down-row gains it
+            cand.__dict__["down_masks"] = Q.down_masks + (D | bit,)
+            bucket = found.setdefault(_iso_invariant(cand), [])
+            if any(is_isomorphic(cand, R) is not None for R in bucket):
+                continue
+            key, perm = canonical_key(cand)
+            if key not in out:
+                out[key] = Poset(n, cand.relabel(perm).up, labels)
+            bucket.append(out[key])
+    reps = tuple(out[k] for k in sorted(out))
     for P in reps:
         if not P.check_axioms():
             raise InternalError("enumeration produced an invalid poset")
@@ -615,8 +629,15 @@ def _enumerate_cached(n: int) -> tuple[Poset, ...]:
 
 def enumerate_posets(n: int) -> list[Poset]:
     """One canonical representative per isomorphism class of n-element
-    posets, sorted by canonical encoding.  Grown by attaching a maximal
-    element above each down-set of each (n-1)-element class."""
+    posets, sorted by canonical encoding.
+
+    Grown by attaching a maximal element above each down-set of each
+    (n-1)-element class.  Each such candidate goes into a bucket keyed by
+    its sorted (down-size, up-size) profile, and is dropped when
+    ``is_isomorphic`` matches it to a class already found there.  So
+    ``canonical_key`` runs once per class, on the first candidate of the
+    class; the representative is that candidate relabelled into canonical
+    order, which depends only on the class."""
     if n < 1:
         raise ValueError("enumerate_posets needs n >= 1")
     if n > ENUMERATION_CAP:

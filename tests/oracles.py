@@ -7,7 +7,9 @@ isomorphism and the canonical key by trying every bijection, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
 prime ideals by filtering the power set, lattice tables by searching all
 bounds (and checked against all bounds), inclusion orders by comparing
-every two masks, and distributivity by trying every triple.
+every two masks, distributivity by trying every triple, the poset axioms by
+looping over every pair and triple, and the enumeration of poset classes by
+keying every candidate with the all-orderings key.
 """
 
 from itertools import combinations, permutations, product
@@ -30,6 +32,22 @@ def brute_closure(size, pairs):
             if j != i and (up[i] >> j) & 1 and (up[j] >> i) & 1:
                 return None, (i, j)
     return up, None
+
+
+def brute_check_axioms(P):
+    """Reflexivity, antisymmetry and transitivity of P's rows, pair by pair
+    and triple by triple."""
+    n = P.n
+    for i in range(n):
+        if not P.leq(i, i):
+            return False
+        for j in range(n):
+            if i != j and P.leq(i, j) and P.leq(j, i):
+                return False
+            for k in range(n):
+                if P.leq(i, j) and P.leq(j, k) and not P.leq(i, k):
+                    return False
+    return True
 
 
 def brute_covers(P):
@@ -314,3 +332,34 @@ def brute_inclusion_order(masks):
     return [
         sum(1 << j for j, m2 in enumerate(masks) if m & ~m2 == 0) for m in masks
     ]
+
+
+class _Rows:
+    """Up-rows with the ``n`` and ``leq`` that the oracles here read."""
+
+    def __init__(self, up):
+        self.n, self.up = len(up), tuple(up)
+
+    def leq(self, i, j):
+        return bool((self.up[i] >> j) & 1)
+
+
+def brute_enumerate_posets(n):
+    """Up-rows of one poset per class on n elements, sorted by the
+    all-orderings key: every n-element candidate, an (n-1)-element class
+    with a new maximal element above one of its down-sets, is keyed, and
+    each key is represented by the candidate relabelled along its least
+    ordering."""
+    if n == 0:
+        return [()]
+    out = {}
+    for rows in brute_enumerate_posets(n - 1):
+        for D in brute_down_sets(_Rows(rows)):
+            cand = _Rows([r | ((D >> i) & 1) << (n - 1) for i, r in
+                          enumerate(rows)] + [1 << (n - 1)])
+            key, perm = brute_canonical_key(cand)
+            out[key] = tuple(
+                sum(1 << t for t, b in enumerate(perm) if cand.leq(a, b))
+                for a in perm
+            )
+    return [out[k] for k in sorted(out)]

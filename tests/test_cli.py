@@ -50,6 +50,62 @@ def test_usage_error_returns_2(capsys):
     assert main(["bogus-command"]) == 2
 
 
+@pytest.fixture
+def fresh_parser():
+    """No kept parser before the test, and none built under its patches
+    after it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch, fresh_parser):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["check", fx("chain4_lattice.json")]) == 0
+    assert main(["bogus-command"]) == 2
+    assert main(["experiments", "lemma51", "--n-max", "2"]) == 0
+    assert len(built) == 1
+
+
+# flags and defaults alternate, so that a value left over from one parse
+# would show in the next
+INTERLEAVED = [
+    ["phi", fx("chain3_lattice.json"), "--as", "lattice"],
+    ["phi", fx("chain2_poset.json")],
+    ["bogus-command"],
+    ["--max-size", "3", "check", fx("chain4_lattice.json")],
+    ["check", fx("chain4_lattice.json")],
+    ["dot", fx("cube2_poset.json"), "--target", "order"],
+    ["dot", fx("cube2_poset.json")],
+    ["experiments"],
+    ["--max-dim-size", "3", "experiments", "dimtable", "--n-max", "3"],
+    ["experiments", "dimtable", "--n-max", "3"],
+    ["--help"],
+    ["check", fx("m3_lattice.json")],
+    ["experiments", "corollary", "--n-max", "-1"],
+    ["check", fx("malformed.json")],
+    ["experiments", "corollary"],
+]
+
+
+def test_kept_parser_answers_like_a_fresh_one(capsys, fresh_parser):
+    kept = [run(capsys, *argv) for argv in INTERLEAVED]
+    fresh = []
+    for argv in INTERLEAVED:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 0, 2, 1, 0, 0, 0, 2, 0, 0, 0,
+                                              1, 2, 2, 0]
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-size", "-1", "check", fx("chain4_lattice.json")],
     ["--max-dim-size", "-1", "experiments", "dimtable", "--n-max", "2"],

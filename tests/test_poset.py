@@ -9,9 +9,11 @@ import ordlat as o
 from ordlat import AntisymmetryViolation, CapExceeded, EmptyPosetError
 from oracles import (
     brute_canonical_key,
+    brute_check_axioms,
     brute_closure,
     brute_covers,
     brute_down_sets,
+    brute_enumerate_posets,
     brute_iso,
     brute_max_antichain,
     cover_dimension,
@@ -315,6 +317,66 @@ def test_enumeration_checks_each_class_once(monkeypatch):
         o.enumerate_posets(3)
 
 
+@pytest.fixture
+def cold_enumeration():
+    """An empty enumeration cache, emptied again afterwards so that later
+    tests never see classes built under a patch."""
+    o.poset._enumerate_cached.cache_clear()
+    yield
+    o.poset._enumerate_cached.cache_clear()
+
+
+def test_enumeration_keys_each_class_once(cold_enumeration, monkeypatch):
+    keyed = [0] * 8
+    real_key, real_invariant = o.poset.canonical_key, o.poset._iso_invariant
+
+    def counted(P):
+        keyed[P.n] += 1
+        return real_key(P)
+
+    def primed(P):
+        # every candidate arrives here with its down-rows set, not built
+        down = P.__dict__["down_masks"]
+        assert down == tuple(
+            sum(1 << i for i in range(P.n) if P.leq(i, j)) for j in range(P.n)
+        )
+        return real_invariant(P)
+
+    monkeypatch.setattr(o.poset, "canonical_key", counted)
+    monkeypatch.setattr(o.poset, "_iso_invariant", primed)
+    o.enumerate_posets(7)
+    assert keyed[1:] == POSET_COUNTS
+
+
+def test_enumeration_is_exact_under_a_constant_invariant(
+    cold_enumeration, monkeypatch
+):
+    # one bucket per level: every class but the first is told apart from
+    # the others by refuted isomorphism tests alone
+    refuted = []
+    real, real_invariant = o.poset.is_isomorphic, o.poset._iso_invariant
+
+    def counted(P, Q):
+        w = real(P, Q)
+        if w is None:
+            refuted.append((P, Q))
+        return w
+
+    monkeypatch.setattr(o.poset, "_iso_invariant", lambda P: ())
+    monkeypatch.setattr(o.poset, "is_isomorphic", counted)
+    for n in range(1, 7):
+        ups = repr([P.up for P in o.enumerate_posets(n)])
+        assert hashlib.sha256(ups.encode()).hexdigest() == ENUMERATION_SHA256[n]
+    # some refuted pairs share the sorted profile, so the backtracking
+    # search, not a count, refutes them
+    assert any(real_invariant(P) == real_invariant(Q) for P, Q in refuted)
+
+
+def test_enumeration_matches_keying_every_candidate():
+    for n in range(1, 6):
+        assert [P.up for P in o.enumerate_posets(n)] == brute_enumerate_posets(n)
+
+
 def test_enumeration_no_isomorphic_duplicates():
     for n in (2, 3, 4):
         reps = o.enumerate_posets(n)
@@ -371,6 +433,33 @@ def test_closure_yields_valid_poset_or_cycle_error(case):
     except AntisymmetryViolation:
         return
     assert P.check_axioms()
+
+
+@st.composite
+def unclosed_rows(draw):
+    """Up-rows on 0-8 elements: a closed order with up to three bits
+    flipped, or arbitrary rows, mostly non-reflexive, cyclic or
+    non-transitive."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return []
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        reflexive = draw(st.booleans())
+        return [row | reflexive << i for i, row in enumerate(rows)]
+    pairs = draw(st.lists(st.tuples(index, index), max_size=12))
+    rows = brute_closure(n, [(min(p), max(p)) for p in pairs])[0]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(index)] ^= 1 << draw(index)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(unclosed_rows())
+def test_check_axioms_matches_triple_loop(rows):
+    P = o.Poset(len(rows), tuple(rows), tuple(map(str, range(len(rows)))))
+    assert P.check_axioms() == brute_check_axioms(P)
 
 
 @settings(max_examples=40, deadline=None)
