@@ -27,7 +27,7 @@ from .duality import (
     _spectrum,
     prime_ideals,
 )
-from .poset import DEFAULT_MAX_SIZE, enumerate_posets
+from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE, enumerate_posets
 from .relation import (
     FIXED_POINT_MODES,
     _cube_shift,
@@ -63,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite posets, distributive lattices, and their duality",
     )
     p.add_argument("--max-size", type=_nonnegative, default=DEFAULT_MAX_SIZE,
-                   help="cap on input and derived carrier sizes")
-    p.add_argument("--max-dim-size", type=_nonnegative, default=10,
+                   help="cap on input and derived carrier sizes: documents, "
+                   "relation posets and lattices, and down-set lattices")
+    p.add_argument("--max-dim-size", type=_nonnegative,
+                   default=DEFAULT_DIMENSION_CAP,
                    help="cap on posets passed to the dimension search")
     p.add_argument("--output", default=None, help="write the report here")
     sub = p.add_subparsers(dest="command", required=True)
@@ -235,7 +237,7 @@ def cmd_spec(args) -> tuple[str, int]:
 
 def cmd_downsets(args) -> tuple[str, int]:
     _, P = _load(args.input, args.max_size)
-    E, ds = _downset_lattice(P)
+    E, ds = _downset_lattice(P, args.max_size)
     result = {
         "document": docio.poset_to_document(E.order, kind="lattice"),
         "down_sets": [[x for x in range(P.n) if (m >> x) & 1] for m in ds],

@@ -17,9 +17,7 @@ from .errors import (
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
 from .lattice import _join_irreducibles
-from .poset import IsoWitness, Poset, _bits, down_sets
-
-DEFAULT_SPECTRUM_CAP = 20
+from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, down_sets
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,9 @@ def is_prime_ideal(L: DistLattice, mask: int) -> bool:
     return True
 
 
-def prime_ideals(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> list[PrimeIdeal]:
+def prime_ideals(L: DistLattice) -> list[PrimeIdeal]:
     """Prime ideals of L sorted by bitmask: by Birkhoff's theorem, exactly
     L minus the up-set of j for each join-irreducible j."""
-    if L.n > cap:
-        raise CapExceeded(f"|L| = {L.n} exceeds spectrum cap {cap}")
     full = L.order.full_mask
     masks = sorted(full & ~L.order.up[j] for j in _join_irreducibles(L.order))
     return [PrimeIdeal(L, m) for m in masks]
@@ -120,9 +116,9 @@ def _spectrum(L: DistLattice, ideals: list[PrimeIdeal]) -> Poset:
     return _inclusion_order([I.members for I in ideals], L.order.labels)
 
 
-def spec(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> Poset:
+def spec(L: DistLattice) -> Poset:
     """Poset of prime ideals of L under inclusion, in bitmask order."""
-    return _spectrum(L, prime_ideals(L, cap=cap))
+    return _spectrum(L, prime_ideals(L))
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,11 @@ class SpectrumMap:
         return True
 
 
-def spec_hom(f: LatticeHom, cap: int = DEFAULT_SPECTRUM_CAP) -> SpectrumMap:
+def spec_hom(f: LatticeHom) -> SpectrumMap:
     """Contravariant spectrum map I |-> f^{-1}(I), from spec(target of f)
     into spec(source of f)."""
-    src_ideals = prime_ideals(f.source, cap=cap)
-    tgt_ideals = prime_ideals(f.target, cap=cap)
+    src_ideals = prime_ideals(f.source)
+    tgt_ideals = prime_ideals(f.target)
     index = {I.members: k for k, I in enumerate(src_ideals)}
     mapping = []
     for I in tgt_ideals:
@@ -168,20 +164,28 @@ def spec_hom(f: LatticeHom, cap: int = DEFAULT_SPECTRUM_CAP) -> SpectrumMap:
 
 
 def clopen_downset_lattice(
-    X: Poset, cap: int = DEFAULT_SPECTRUM_CAP, max_count: int = 100_000
+    X: Poset, max_size: int = DEFAULT_MAX_SIZE
 ) -> DistLattice:
     """Lattice of all down-sets of X: meet is intersection, join is union."""
-    return _downset_lattice(X, cap=cap, max_count=max_count)[0]
+    return _downset_lattice(X, max_size)[0]
 
 
 def _downset_lattice(
-    X: Poset, cap: int = DEFAULT_SPECTRUM_CAP, max_count: int = 100_000
+    X: Poset, max_size: int = DEFAULT_MAX_SIZE
 ) -> tuple[DistLattice, list[int]]:
     """The down-set lattice of X, with its carrier: the down-sets of X as
-    sorted bitmasks, element k of the lattice being the k-th."""
+    sorted bitmasks, element k of the lattice being the k-th.  A lattice of
+    more than max_size elements is refused while its carrier is being
+    enumerated, before any table is built."""
     if X.n == 0:
         raise DegenerateBounds("empty space has a one-element down-set lattice")
-    ds = down_sets(X, cap=cap, max_count=max_count)
+    try:
+        ds = down_sets(X, max_count=max_size)
+    except CapExceeded:
+        raise CapExceeded(
+            f"down-set lattice of a {X.n}-point poset has more than "
+            f"{max_size} elements, cap {max_size} (raise it with --max-size)"
+        ) from None
     return lattice_from_poset(_inclusion_order(ds, X.labels)), ds
 
 
@@ -219,11 +223,12 @@ def _e_hom(X: Poset, g, ex, ey) -> LatticeHom:
     return hom_new(EY, EX, mapping)
 
 
-def unit_lattice(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
+def unit_lattice(L: DistLattice) -> IsoWitness:
     """The duality unit a |-> {prime ideals not containing a}, certified as
     an order isomorphism from L onto the down-set lattice of its spectrum."""
-    ideals = prime_ideals(L, cap=cap)
-    E, ds = _downset_lattice(_spectrum(L, ideals))
+    ideals = prime_ideals(L)
+    # Birkhoff: the spectrum of L has exactly |L| down-sets
+    E, ds = _downset_lattice(_spectrum(L, ideals), L.n)
     index = {m: k for k, m in enumerate(ds)}
     forward = []
     for a in range(L.n):
@@ -242,11 +247,11 @@ def unit_lattice(L: DistLattice, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
     return w
 
 
-def unit_space(X: Poset, cap: int = DEFAULT_SPECTRUM_CAP) -> IsoWitness:
+def unit_space(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     """The co-unit x |-> {down-sets omitting x}, certified as an order
     isomorphism from X onto the spectrum of its down-set lattice."""
-    E, ds = _downset_lattice(X, cap=cap)
-    ideals = prime_ideals(E, cap=max(cap, E.n))
+    E, ds = _downset_lattice(X, max_size)
+    ideals = prime_ideals(E)
     index = {I.members: k for k, I in enumerate(ideals)}
     forward = []
     for x in range(X.n):

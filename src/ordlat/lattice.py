@@ -55,7 +55,7 @@ def _check_distributive(P: Poset, meet, join) -> None:
     first failing (a, b, c) in lexicographic order."""
     n = P.n
     try:
-        down_sets(P.induced(_join_irreducibles(P)), cap=n, max_count=n)
+        down_sets(P.induced(_join_irreducibles(P)), max_count=n)
         return
     except CapExceeded:
         pass

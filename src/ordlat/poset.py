@@ -18,8 +18,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_SIZE = 1024
-DEFAULT_CUBE_CAP = 20
-DEFAULT_DOWNSET_GROUND_CAP = 24
 DEFAULT_DOWNSET_COUNT_CAP = 100_000
 DEFAULT_DIMENSION_CAP = 10
 ENUMERATION_CAP = 7
@@ -256,7 +254,7 @@ def antichain(n: int) -> Poset:
     return Poset(n, tuple(1 << i for i in range(n)), _default_labels(n))
 
 
-def cube(n: int, max_size: int = DEFAULT_CUBE_CAP) -> Poset:
+def cube(n: int, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
     """n-fold product of the two-element chain; element i has coordinate
     bits of i, ordered by bitwise containment."""
     if n < 0:
@@ -297,18 +295,13 @@ def disjoint_union(P: Poset, Q: Poset) -> Poset:
     return Poset(P.n + Q.n, tuple(up), P.labels + Q.labels)
 
 
-def down_sets(
-    P: Poset,
-    cap: int = DEFAULT_DOWNSET_GROUND_CAP,
-    max_count: int = DEFAULT_DOWNSET_COUNT_CAP,
-) -> list[int]:
+def down_sets(P: Poset, max_count: int = DEFAULT_DOWNSET_COUNT_CAP) -> list[int]:
     """All down-sets of P as bitmasks, sorted ascending.
 
     Elements are folded in along a linear extension, so only genuine
-    down-sets are ever produced.
+    down-sets are ever produced.  The list never holds more than
+    2 * max_count masks: it is refused as soon as it passes max_count.
     """
-    if P.n > cap:
-        raise CapExceeded(f"|P| = {P.n} exceeds down-set cap {cap}")
     down = P.down_masks
     topo = sorted(range(P.n), key=lambda i: (_popcount(down[i]), i))
     result = [0]

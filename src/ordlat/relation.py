@@ -25,7 +25,9 @@ from .duality import (
     prime_ideals,
 )
 from .poset import (
+    DEFAULT_DIMENSION_CAP,
     DEFAULT_MAX_SIZE,
+    ENUMERATION_CAP,
     IsoWitness,
     Poset,
     _bits,
@@ -159,7 +161,7 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
     """
     PhiL, prs = relation_lattice(L, max_size=max_size)
     ideals = prime_ideals(L)
-    direct = prime_ideals(PhiL, cap=max(20, PhiL.n))
+    direct = prime_ideals(PhiL)
     closed = _closed_form_primes(PhiL, prs, ideals)
     if {I.members for I in direct} != {I.members for I in closed}:
         return False
@@ -195,9 +197,10 @@ def relation_downset_iso(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitne
     with e on the bottom layer; the inverse splits a down-set of X x 2 into
     its two layers (top layer first).  Both directions are validated.
     """
-    E, ds = _downset_lattice(X)
+    E, ds = _downset_lattice(X, max_size)
     PhiE, prs = relation_lattice(E, max_size=max_size)
-    return _layer_iso(ds, PhiE, prs, _downset_lattice(product(X, chain(2))))
+    e2 = _downset_lattice(product(X, chain(2), max_size), max_size)
+    return _layer_iso(ds, PhiE, prs, e2)
 
 
 def _layer_iso(ds, PhiE, prs, e2) -> IsoWitness:
@@ -325,7 +328,7 @@ def _image_witness(L: DistLattice, ideals, max_size: int):
     if fw is None:
         return None
     Y = fw.factor
-    K, ds = _downset_lattice(Y)
+    K, ds = _downset_lattice(Y, max_size)
     PhiK, prs = relation_lattice(K, max_size=max_size)
     index = {(ds[i], ds[j]): k for k, (i, j) in enumerate(prs)}
     h = fw.assembled(X).forward  # (y, q) of Y x 2, at 2y + q, -> X
@@ -366,8 +369,8 @@ def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
     """
     if mode not in FIXED_POINT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if n_max > 7:
-        raise CapExceeded("fixed-point scan capped at n = 7")
+    if n_max > ENUMERATION_CAP:
+        raise CapExceeded(f"fixed-point scan capped at n = {ENUMERATION_CAP}")
     hits = []
     hit_posets = []
     for size in range(1, n_max + 1):
@@ -429,7 +432,9 @@ def _cube_shift(n: int) -> tuple[bool, int]:
     return w.validate(Phi1.order, hom.target.order), Phi1.n
 
 
-def dimension_report(n_max: int, dim_cap: int = 10) -> list[dict]:
+def dimension_report(
+    n_max: int, dim_cap: int = DEFAULT_DIMENSION_CAP
+) -> list[dict]:
     """Survey rows comparing width and order dimension of each small poset
     with those of its relation poset; oversized dimension entries are
     marked skipped rather than computed.

@@ -60,16 +60,40 @@ def test_criterion_2_layered_isomorphism():
           f"(all posets <= 4 plus cube 3) ... pass")
 
 
+def assert_image_round_trip(K, independent=True):
+    """Phi(K) is found in the image, with a K2 whose Phi(K2) maps onto
+    Phi(K) by the returned witness and, if ``independent``, by an
+    isomorphism that is_isomorphic finds on its own."""
+    PhiK, _ = o.relation_lattice(K)
+    found = o.relation_image_witness(PhiK)
+    assert found is not None, K
+    K2, w = found
+    PhiK2, _ = o.relation_lattice(K2)
+    assert w.validate(PhiK2.order, PhiK.order)
+    if independent:
+        iso = o.is_isomorphic(PhiK2.order, PhiK.order)
+        assert iso is not None and iso.validate(PhiK2.order, PhiK.order)
+    return PhiK.n
+
+
 def test_criterion_3_image_round_trip():
     count = 0
     for K in all_lattices_upto(4):
-        PhiK, _ = o.relation_lattice(K)
-        found = o.relation_image_witness(PhiK)
-        assert found is not None, K
-        K2, w = found
-        PhiK2, _ = o.relation_lattice(K2)
-        iso = o.is_isomorphic(PhiK2.order, PhiK.order)
-        assert iso is not None and iso.validate(PhiK2.order, PhiK.order)
+        assert_image_round_trip(K)
+        count += 1
+    # larger lattices: Phi(E(X)) for every X of <= 4 elements and for
+    # cube 3 (168 elements), Phi(chain 21) and Phi(chain 44) (231 and 990)
+    largest = 0
+    spaces = [X for n in range(1, 5) for X in o.enumerate_posets(n)]
+    for X in spaces + [o.cube(3)]:
+        largest = max(largest, assert_image_round_trip(o.clopen_downset_lattice(X)))
+        count += 1
+    assert largest == 168
+    # is_isomorphic recurses once per element, which passes Python's default
+    # recursion limit at 990 elements: Phi(chain 44) rests on the witness
+    for k, size, independent in ((21, 231, True), (44, 990, False)):
+        chain = o.lattice_from_poset(o.chain(k))
+        assert assert_image_round_trip(chain, independent) == size
         count += 1
     # negative side: every lattice of size <= 5 with an odd spectrum
     odd = 0

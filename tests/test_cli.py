@@ -189,15 +189,14 @@ def chain_document(n, kind):
             "leq_pairs": [[i, i + 1] for i in range(n - 1)]}
 
 
-@pytest.mark.parametrize("n,kind,budget_s", [(1000, "lattice", 20), (3000, "poset", 5)])
-def test_check_on_long_chains_stays_in_budget(tmp_path, n, kind, budget_s):
-    """Time and memory of `check` on long chains, whose closure, covers and
-    lattice tables are the quadratic worst case, in a child process."""
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(chain_document(n, kind)))
+def run_in_budget(tmp_path, doc, command, max_size=None, timeout=100):
+    """Run ``ordlat [--max-size N] COMMAND doc`` in a child process whose
+    address space is limited to 1 GiB, so a regression fails instead of
+    exhausting the machine's memory; give its exit code, wall time in
+    seconds, peak RSS in KiB and stderr."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(o.__file__))
-    # the child's address space is limited to 1 GiB, so a regression fails
-    # instead of exhausting the machine's memory
     code = (
         "import resource, subprocess, sys, time\n"
         "def limit():\n"
@@ -207,17 +206,87 @@ def test_check_on_long_chains_stays_in_budget(tmp_path, n, kind, budget_s):
         "wall = time.perf_counter() - t\n"
         "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
         "print(done.returncode, wall, rss)\n"
+        "sys.stdout.write(done.stderr.decode())\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-m", "ordlat.cli", "--max-size", str(n), "check", str(path)]
+    cap = [] if max_size is None else ["--max-size", str(max_size)]
+    argv = [sys.executable, "-m", "ordlat.cli", *cap, command, str(path)]
     done = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+    head, _, err = done.stdout.partition("\n")
+    status, wall, rss_kb = head.split()
+    return int(status), float(wall), int(rss_kb), err
+
+
+@pytest.mark.parametrize("n,kind,budget_s", [(1000, "lattice", 20), (3000, "poset", 5)])
+def test_check_on_long_chains_stays_in_budget(tmp_path, n, kind, budget_s):
+    """Time and memory of `check` on long chains, whose closure, covers and
+    lattice tables are the quadratic worst case, in a child process."""
+    status, wall, rss_kb, _ = run_in_budget(
+        tmp_path, chain_document(n, kind), "check", max_size=n,
         timeout=10 * budget_s,
     )
-    status, wall, rss_kb = done.stdout.split()
-    assert int(status) == 0
-    assert float(wall) < budget_s
-    assert int(rss_kb) < 300 * 1024
+    assert status == 0
+    assert wall < budget_s
+    assert rss_kb < 300 * 1024
+
+
+def test_downsets_lattice_is_capped_by_max_size(tmp_path):
+    """A 12-point antichain has 4,096 down-sets: `downsets` refuses the
+    lattice while enumerating them, before any table is built, naming the
+    cap and its flag.  A 200-point chain has 201 down-sets and passes,
+    however long the chain."""
+    antichain = {"schema_version": "1", "kind": "poset", "size": 12,
+                 "leq_pairs": []}
+    status, wall, rss_kb, err = run_in_budget(tmp_path, antichain, "downsets")
+    assert status == 1
+    assert wall < 5
+    assert rss_kb < 100 * 1024
+    assert err.startswith("error: CapExceeded: ")
+    for part in ("1024", "--max-size"):
+        assert part in err
+    status, wall, rss_kb, _ = run_in_budget(
+        tmp_path, chain_document(200, "poset"), "downsets"
+    )
+    assert status == 0
+    assert wall < 5
+    assert rss_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("command,n,want", [("image", 1023, 1), ("primes", 1024, 0)])
+def test_duality_commands_on_long_chains_stay_in_budget(tmp_path, command, n, want):
+    """Time and memory of the spectrum commands on the longest chain
+    lattices the default size cap admits.  The spectrum of the 1,023-chain
+    is a 1,022-chain: even, but not a half times 2, so `image` searches
+    every bottom half's partners before it says no."""
+    status, wall, rss_kb, err = run_in_budget(
+        tmp_path, chain_document(n, "lattice"), command, timeout=200
+    )
+    assert (status, err) == (want, "")
+    assert wall < 20
+    assert rss_kb < 300 * 1024
+
+
+def test_duality_commands_take_lattices_past_twenty_elements(tmp_path, capsys):
+    """Phi(chain 21) has 231 elements: its spectrum is a 20-chain times 2,
+    and it is the image of the 21-chain."""
+    PhiL, _ = o.relation_lattice(o.lattice_from_poset(o.chain(21)))
+    path = tmp_path / "phi_chain21.json"
+    path.write_text(json.dumps(docio.poset_to_document(PhiL.order, kind="lattice")))
+    code, out, _ = run(capsys, "primes", str(path))
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 40
+    code, out, _ = run(capsys, "spec", str(path))
+    assert code == 0
+    assert json.loads(out)["result"]["document"]["size"] == 40
+    code, out, _ = run(capsys, "image", str(path))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["in_image"] is True
+    assert result["witness_for_K"]["size"] == 21
+    assert len(result["iso"]) == 231
 
 
 def test_primes_chain3(capsys):
@@ -236,6 +305,19 @@ def test_downsets_antichain2(capsys):
     code, out, _ = run(capsys, "downsets", fx("antichain2_poset.json"))
     assert code == 0
     assert json.loads(out)["result"]["document"]["size"] == 4
+
+
+def test_downsets_lattice_follows_max_size(capsys):
+    # the 2-point document fits a cap of 3, its 4 down-sets do not
+    code, out, err = run(
+        capsys, "--max-size", "3", "downsets", fx("antichain2_poset.json")
+    )
+    assert (code, out) == (1, "")
+    assert "CapExceeded: down-set lattice of a 2-point poset has more than 3" in err
+    code, _, _ = run(
+        capsys, "--max-size", "4", "downsets", fx("antichain2_poset.json")
+    )
+    assert code == 0
 
 
 def test_image_yes_chain3(capsys):

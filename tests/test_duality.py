@@ -235,14 +235,14 @@ def test_unit_space_examples():
     for X in (o.antichain(1), o.antichain(2), o.chain(3)):
         w = o.unit_space(X)
         E = o.clopen_downset_lattice(X)
-        assert w.validate(X, o.spec(E, cap=max(20, E.n)))
+        assert w.validate(X, o.spec(E))
 
 
 def test_spectrum_size_matches_space():
     for n in (1, 2, 3, 4):
         for X in o.enumerate_posets(n):
             E = o.clopen_downset_lattice(X)
-            assert o.spec(E, cap=max(20, E.n)).n == X.n
+            assert o.spec(E).n == X.n
 
 
 def test_birkhoff_cross_check_join_irreducibles_vs_spec():

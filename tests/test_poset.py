@@ -146,8 +146,13 @@ def test_cube2_pair_count():
 
 
 def test_cube_cap():
+    # the default size cap of 1024 admits cube 5 and refuses cube 11 (2,048
+    # elements); a cap passed in is kept the same way
+    assert o.cube(5).n == 32
     with pytest.raises(CapExceeded):
-        o.cube(5)
+        o.cube(11)
+    with pytest.raises(CapExceeded):
+        o.cube(5, max_size=31)
 
 
 def test_product_chain2_chain2_is_cube2():
@@ -203,8 +208,12 @@ def test_down_sets_cube3_against_subset_filter():
 
 
 def test_down_sets_cap():
+    # only the count is capped: 2**10 down-sets pass a cap of 1024, not
+    # one of 1023, and a long chain has few down-sets whatever its length
+    assert len(o.down_sets(o.antichain(10), max_count=1024)) == 1024
     with pytest.raises(CapExceeded):
-        o.down_sets(o.antichain(10), cap=8)
+        o.down_sets(o.antichain(10), max_count=1023)
+    assert len(o.down_sets(o.chain(200), max_count=201)) == 201
 
 
 def test_is_isomorphic_examples():
