@@ -34,7 +34,14 @@ class PrimeIdeal:
         return list(_bits(self.members))
 
     def validate(self) -> bool:
-        return is_prime_ideal(self.lattice, self.members)
+        """``is_prime_ideal`` by row lookup: in a finite distributive lattice
+        a subset is a prime ideal iff its complement is the up-row of a
+        join-irreducible (Birkhoff), which costs O(n) rows, not O(n^3)."""
+        P = self.lattice.order
+        if self.members & ~P.full_mask:
+            return False
+        outside = P.full_mask & ~self.members
+        return any(P.up[j] == outside for j in _join_irreducibles(P))
 
 
 def is_ideal(L: DistLattice, mask: int) -> bool:

@@ -55,6 +55,24 @@ class Poset:
                 down[j] |= 1 << i
         return tuple(down)
 
+    @cached_property
+    def iso_profile(self) -> tuple[int, ...]:
+        """iso_profile[i] is the pair (|down-set of i|, |up-set of i|)
+        packed as down * (n + 1) + up, which keeps pairs' equality and
+        order.  Packed, a profile cached on every enumerated class costs one
+        tuple: up to n = 15 its entries are CPython's shared small ints."""
+        base = self.n + 1
+        return tuple(
+            _popcount(d) * base + _popcount(u)
+            for d, u in zip(self.down_masks, self.up)
+        )
+
+    @cached_property
+    def iso_invariant(self) -> tuple[int, ...]:
+        """The sorted profile: equal for isomorphic posets.  It fixes the
+        relation count, the sum of the up-set sizes."""
+        return tuple(sorted(self.iso_profile))
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -450,51 +468,59 @@ def order_dimension(P: Poset, cap: int = DEFAULT_DIMENSION_CAP) -> int:
     return k
 
 
-def _iso_profile(P: Poset) -> list[tuple[int, int]]:
-    down = P.down_masks
-    return [(_popcount(down[i]), _popcount(P.up[i])) for i in range(P.n)]
-
-
 def is_isomorphic(P: Poset, Q: Poset) -> IsoWitness | None:
     """First order isomorphism in lexicographic search order, or None.
 
-    Backtracking over images of 0..n-1 with (down-size, up-size) invariant
-    pruning; deterministic.
+    Backtracks over the images of 0..n-1 with an explicit stack, so it needs
+    no recursion depth.  Element i may go only to an element of Q with its
+    (down-size, up-size) profile.  At depth i, i's up- and down-rows among
+    0..i-1 are mapped through the images placed so far, once; a candidate c
+    fits iff Q's rows of c, cut to those images, are the mapped rows.  An
+    image already used never fits, since it would be both above and below
+    i.  Deterministic.
     """
     n = P.n
-    if Q.n != n:
+    if Q.n != n or P.iso_invariant != Q.iso_invariant:
         return None
-    if P.relation_count() != Q.relation_count():
-        return None
-    ip, iq = _iso_profile(P), _iso_profile(Q)
-    if sorted(ip) != sorted(iq):
-        return None
-    forward = [-1] * n
-    used = [False] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        for c in range(n):
-            if used[c] or ip[i] != iq[c]:
-                continue
-            ok = True
-            for k in range(i):
-                if P.leq(k, i) != Q.leq(forward[k], c) or P.leq(i, k) != Q.leq(
-                    c, forward[k]
-                ):
-                    ok = False
-                    break
-            if ok:
+    slots: dict[int, list[int]] = {}
+    for c, prof in enumerate(Q.iso_profile):
+        slots.setdefault(prof, []).append(c)
+    cands = [slots[prof] for prof in P.iso_profile]
+    p_up, p_down = P.up, P.down_masks
+    q_up, q_down = Q.up, Q.down_masks
+    forward = [0] * n
+    tried = [0] * n  # candidates of cands[i] tried at depth i; 0 on entry
+    want = [(0, 0)] * n  # i's rows among 0..i-1, mapped by forward
+    used = 0  # images of 0..i-1
+    i = 0
+    while i < n:
+        t = tried[i]
+        if t == 0:
+            before = (1 << i) - 1
+            w_up = w_down = 0
+            for k in _bits(p_up[i] & before):
+                w_up |= 1 << forward[k]
+            for k in _bits(p_down[i] & before):
+                w_down |= 1 << forward[k]
+            want[i] = (w_up, w_down)
+        else:
+            w_up, w_down = want[i]
+        cs = cands[i]
+        while t < len(cs):
+            c = cs[t]
+            t += 1
+            if q_up[c] & used == w_up and q_down[c] & used == w_down:
                 forward[i] = c
-                used[c] = True
-                if rec(i + 1):
-                    return True
-                used[c] = False
-        return False
-
-    if not rec(0):
-        return None
+                tried[i] = t
+                used |= 1 << c
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            if i == 0:
+                return None
+            i -= 1
+            used ^= 1 << forward[i]
     return IsoWitness.from_forward(forward)
 
 
@@ -513,7 +539,8 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     element.  Placing v shifts all the codes by two bits at once and ors in
     a table row holding every element's two bits against v.  A candidate's
     chunk is its code, and a prefix's remainder is the codes of its
-    unplaced elements, the other fields being cleared.
+    unplaced elements, the other fields being cleared.  One pass per level
+    reads each candidate's code once, keeping the least and its ties.
 
     Twins, distinct elements with the same strict up-set and the same
     strict down-set, are placed in index order: an element waits while a
@@ -530,45 +557,58 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     up, down = P.up, P.down_masks
     width = 2 * n  # bits per code field; a code gains two per placement
     field = (1 << width) - 1
+    shift = [width * v for v in range(n)]
+    clear = [~(field << s) for s in shift]
     # row[v]: each element u's bits against a placed v, (v <= u) then (u <= v)
-    row = [0] * n
+    row = []
     for v in range(n):
-        for u in range(n):
-            bits = ((up[v] >> u) & 1) << 1 | ((down[v] >> u) & 1)
-            row[v] |= bits << (width * u)
+        r = 0
+        for u in _bits(up[v]):
+            r |= 2 << shift[u]
+        for u in _bits(down[v]):
+            r |= 1 << shift[u]
+        row.append(r)
     twins: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
         twins.setdefault((up[v] ^ (1 << v), down[v] ^ (1 << v)), []).append(v)
-    after = [()] * n  # the twin that becomes placeable once v is placed
+    after = [0] * n  # the twin that becomes placeable once v is placed
+    ready = 0
     for cls in twins.values():
+        ready |= 1 << cls[0]
         for u, w in zip(cls, cls[1:]):
-            after[u] = (w,)
-    ready = tuple(sorted(cls[0] for cls in twins.values()))
+            after[u] = 1 << w
     # frontier states (prefix, placeable elements, live fields, codes), in
     # prefix order
     frontier = [((), ready, (1 << (width * n)) - 1, 0)]
     chunks = []
     for _ in range(n):
-        best = min(
-            (codes >> (width * v)) & field
-            for _, ready, _, codes in frontier
-            for v in ready
-        )
+        best = field + 1  # above every code
+        ties = []  # (state, v) whose code is best, in frontier order
+        for state in frontier:
+            codes = state[3]
+            rest = state[1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                code = (codes >> shift[v]) & field
+                if code < best:
+                    best = code
+                    ties = [(state, v)]
+                elif code == best:
+                    ties.append((state, v))
         chunks.append(best)
         seen = set()
-        nxt = []
-        for pre, ready, live, codes in frontier:
-            for v in ready:
-                if (codes >> (width * v)) & field != best:
-                    continue
-                live_v = live & ~(field << (width * v))
-                codes_v = ((codes << 2) | row[v]) & live_v
-                if (live_v, codes_v) in seen:
-                    continue
-                seen.add((live_v, codes_v))
-                ready_v = sorted([u for u in ready if u != v] + list(after[v]))
-                nxt.append((pre + (v,), tuple(ready_v), live_v, codes_v))
-        frontier = nxt
+        frontier = []
+        for (pre, ready, live, codes), v in ties:
+            live_v = live & clear[v]
+            codes_v = ((codes << 2) | row[v]) & live_v
+            if (live_v, codes_v) in seen:
+                continue
+            seen.add((live_v, codes_v))
+            frontier.append(
+                (pre + (v,), (ready ^ (1 << v)) | after[v], live_v, codes_v)
+            )
     # no field is live after the last placement, so one state is left: the
     # first, smallest prefix to reach the key
     return tuple(chunks), frontier[0][0]
@@ -581,10 +621,10 @@ def canonical_form(P: Poset) -> Poset:
     return Poset(Q.n, Q.up, _default_labels(Q.n))
 
 
-def _iso_invariant(P: Poset) -> tuple[tuple[int, int], ...]:
+def _iso_invariant(P: Poset) -> tuple[int, ...]:
     """The sorted (down-size, up-size) profile: equal for isomorphic posets,
     and compared by ``is_isomorphic`` before it searches."""
-    return tuple(sorted(_iso_profile(P)))
+    return P.iso_invariant
 
 
 @lru_cache(maxsize=None)

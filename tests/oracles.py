@@ -115,7 +115,8 @@ def brute_max_antichain(P) -> int:
 
 
 def brute_iso(P, Q):
-    """Some bijection that is an order isomorphism, or None."""
+    """The first bijection in lexicographic order that is an order
+    isomorphism, or None."""
     if P.n != Q.n:
         return None
     for perm in permutations(range(P.n)):

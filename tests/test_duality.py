@@ -252,3 +252,21 @@ def test_birkhoff_cross_check_join_irreducibles_vs_spec():
             S = o.spec(L)
             w = o.is_isomorphic(ji, S)
             assert w is not None and w.validate(ji, S)
+
+
+def test_prime_ideal_validate_matches_the_definition():
+    # every mask of every lattice of 2-6 elements, then Phi(chain k)
+    checked = 0
+    for n in range(2, 7):
+        for L in lattice_valid(o.enumerate_posets(n)):
+            for m in range(1 << L.n):
+                assert o.PrimeIdeal(L, m).validate() == is_prime_ideal(L, m)
+                checked += 1
+    assert checked == 4 + 8 + 2 * 16 + 3 * 32 + 5 * 64
+    # a member outside the carrier: the complement alone would pass
+    L = lat(o.chain(3))
+    assert not o.PrimeIdeal(L, 0b001 | 1 << L.n).validate()
+    for k in (2, 3, 4):
+        PhiL, _ = o.relation_lattice(lat(o.chain(k)))
+        for m in range(1 << PhiL.n):
+            assert o.PrimeIdeal(PhiL, m).validate() == is_prime_ideal(PhiL, m)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -419,6 +420,27 @@ def test_canonical_key_matches_brute_oracle():
             assert o.canonical_key(Q) == brute_canonical_key(Q)
 
 
+# SHA-256 of repr([canonical_key(P.relabel(perm)) for P in
+# enumerate_posets(7)]), each perm shuffled by random.Random(2045) in class
+# order; recorded from the canonical key whose frontier held sorted tuples,
+# before it held bitmasks.  Brute force over 5,040 orderings per class is
+# too slow at n = 7, so the key and its permutation are pinned by digest.
+CANONICAL_KEY_SHA256_7 = (
+    "bda6777c909ed9015de0355a1f2213be30f1af681d68982b0dbd6699a2116219"
+)
+
+
+def test_canonical_key_matches_recorded_digest_at_seven():
+    rng = random.Random(2045)
+    keys = []
+    for P in o.enumerate_posets(7):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        keys.append(o.canonical_key(P.relabel(perm)))
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == CANONICAL_KEY_SHA256_7
+
+
 @st.composite
 def random_posets(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -483,6 +505,22 @@ def test_random_poset_matches_exactly_one_class(case, rnd):
         Q for Q in o.enumerate_posets(n) if o.is_isomorphic(P, Q) is not None
     ]
     assert len(matches) == 1
+
+
+def test_is_isomorphic_needs_no_recursion_depth():
+    # a relabelled 1,200-chain, searched with the recursion limit far below
+    # its length: the search keeps its own stack
+    n = 1200
+    perm = list(range(n))
+    random.Random(1200).shuffle(perm)
+    P, Q = o.chain(n), o.chain(n).relabel(perm)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        w = o.is_isomorphic(P, Q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w is not None and w.validate(P, Q)
 
 
 def test_witness_symmetry_inverts():
