@@ -17,7 +17,8 @@ from .errors import (
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
 from .lattice import _join_irreducibles
-from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, down_sets
+from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, _pullback
+from .poset import down_sets
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,13 @@ class SpectrumMap:
     mapping: tuple[int, ...]
 
     def validate(self) -> bool:
-        for i in range(self.source.n):
-            for j in range(self.source.n):
-                if self.source.leq(i, j) and not self.target.leq(
-                    self.mapping[i], self.mapping[j]
-                ):
-                    return False
-        return True
+        """i <= j implies mapping[i] <= mapping[j]: each up-row of the
+        source lies inside the preimage of its image's up-row."""
+        X, Y, g = self.source, self.target, self.mapping
+        if len(g) != X.n or any(not 0 <= v < Y.n for v in g):
+            return False
+        pull = _pullback(g, Y.n)
+        return all(row & ~pull(Y.up[v]) == 0 for row, v in zip(X.up, g))
 
 
 def spec_hom(f: LatticeHom) -> SpectrumMap:
@@ -152,12 +153,10 @@ def spec_hom(f: LatticeHom) -> SpectrumMap:
     src_ideals = prime_ideals(f.source)
     tgt_ideals = prime_ideals(f.target)
     index = {I.members: k for k, I in enumerate(src_ideals)}
+    pull = _pullback(f.mapping, f.target.n)
     mapping = []
     for I in tgt_ideals:
-        pre = 0
-        for a in range(f.source.n):
-            if (I.members >> f.mapping[a]) & 1:
-                pre |= 1 << a
+        pre = pull(I.members)
         if pre not in index:
             raise InternalError(
                 "preimage of a prime ideal is not prime; this cannot happen"
@@ -200,34 +199,33 @@ def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:
     """Down-set lattice hom induced by an order-preserving g: X -> Y, acting
     by preimage: a down-set of Y maps to its g-preimage in X."""
     g = _order_preserving(X, Y, g)
-    return _e_hom(X, g, _downset_lattice(X), _downset_lattice(Y))
+    return _e_hom(g, _downset_lattice(X), _downset_lattice(Y))
 
 
 def _order_preserving(X: Poset, Y: Poset, g) -> tuple[int, ...]:
-    """g as a tuple, checked to be an order-preserving map X -> Y."""
+    """g as a tuple, checked to be an order-preserving map X -> Y.  A
+    violation is raised on the first a <= b, in lexicographic order, with
+    g[a] not below g[b]: the first a whose up-row leaves the preimage of
+    g[a]'s up-row, and the least b it leaves there."""
     g = tuple(g)
     if len(g) != X.n or any(not 0 <= v < Y.n for v in g):
         raise NotOrderPreserving(("map not total", None))
-    for a in range(X.n):
-        for b in range(X.n):
-            if X.leq(a, b) and not Y.leq(g[a], g[b]):
-                raise NotOrderPreserving((a, b))
+    pull = _pullback(g, Y.n)
+    for a, (row, v) in enumerate(zip(X.up, g)):
+        bad = row & ~pull(Y.up[v])
+        if bad:
+            raise NotOrderPreserving((a, (bad & -bad).bit_length() - 1))
     return g
 
 
-def _e_hom(X: Poset, g, ex, ey) -> LatticeHom:
+def _e_hom(g, ex, ey) -> LatticeHom:
     """``e_hom`` for a checked g, on the down-set lattices of X and Y, each
-    given with its carrier as ``_downset_lattice`` returns it."""
+    given with its carrier as ``_downset_lattice`` returns it.  The last
+    down-set of Y is all of Y, so its bit length is Y's point count."""
     (EX, dsx), (EY, dsy) = ex, ey
     index = {m: k for k, m in enumerate(dsx)}
-    mapping = []
-    for d in dsy:
-        pre = 0
-        for x in range(X.n):
-            if (d >> g[x]) & 1:
-                pre |= 1 << x
-        mapping.append(index[pre])
-    return hom_new(EY, EX, mapping)
+    pull = _pullback(g, dsy[-1].bit_length())
+    return hom_new(EY, EX, [index[pull(d)] for d in dsy])
 
 
 def unit_lattice(L: DistLattice) -> IsoWitness:

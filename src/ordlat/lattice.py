@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .errors import (
     CapExceeded,
@@ -52,16 +53,28 @@ def _join_irreducibles(P: Poset) -> list[int]:
 def _check_distributive(P: Poset, meet, join) -> None:
     """Birkhoff: a finite lattice is distributive iff its join-irreducibles
     have no more down-sets than it has elements.  Otherwise raise on the
-    first failing (a, b, c) in lexicographic order."""
+    first failing (a, b, c) in lexicographic order.
+
+    That search compares, for each (a, b), the row of a meet (b join c) over
+    all c with the row of (a meet b) join (a meet c), each gathered by one
+    itemgetter, and scans c only in a row that differs: still O(n^3), but
+    in C-level steps."""
     n = P.n
     try:
         down_sets(P.induced(_join_irreducibles(P)), max_count=n)
         return
     except CapExceeded:
         pass
-    for a, b, c in iproduct(range(n), repeat=3):
-        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-            raise NotDistributive((a, b, c))
+    by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[join[b][c]]
+    for a in range(n):
+        meet_a = meet[a]
+        by_meet_a = itemgetter(*meet_a)  # by_meet_a(r)[c] = r[meet[a][c]]
+        for b in range(n):
+            lhs = by_join[b](meet_a)
+            rhs = by_meet_a(join[meet_a[b]])
+            if lhs != rhs:
+                c = next(c for c in range(n) if lhs[c] != rhs[c])
+                raise NotDistributive((a, b, c))
     raise InternalError("distributivity count and triple search disagree")
 
 

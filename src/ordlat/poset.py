@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import (
     AntisymmetryViolation,
@@ -33,6 +34,27 @@ def _bits(mask: int):
 
 def _popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def _pullback(g, width: int):
+    """The preimage map ``mask -> {x : g[x] in mask}`` of g, for masks over
+    range(width); every g[x] must lie in range(width), and bits at or above
+    width are ignored.
+
+    A mask is written out as its width-digit binary string, in which bit v is
+    character width-1-v; one itemgetter picks g's characters, last x first,
+    and the joined string is read back as the preimage.  So a row costs a few
+    C-level string steps, not a Python step per bit."""
+    if not g:
+        return lambda mask: 0
+    full = (1 << width) - 1
+    spec = f"0{width}b"
+    pick = itemgetter(*[width - 1 - v for v in reversed(g)])
+
+    def pull(mask: int) -> int:
+        return int("".join(pick(format(mask & full, spec))), 2)
+
+    return pull
 
 
 @dataclass(frozen=True)
@@ -174,11 +196,10 @@ class IsoWitness:
             return False
         if any(self.backward[self.forward[i]] != i for i in range(n)):
             return False
-        for i in range(n):
-            for j in range(n):
-                if P.leq(i, j) != Q.leq(self.forward[i], self.forward[j]):
-                    return False
-        return True
+        # i <= j in P iff forward[i] <= forward[j] in Q: P's up-row of i is
+        # the preimage of Q's up-row of forward[i]
+        pull = _pullback(self.forward, n)
+        return all(row == pull(Q.up[v]) for row, v in zip(P.up, self.forward))
 
     def inverse(self) -> "IsoWitness":
         return IsoWitness(self.backward, self.forward)

@@ -426,7 +426,7 @@ def _cube_shift(n: int) -> tuple[bool, int]:
     # drop coordinate 0 into the extra factor: y -> (shift(y), y(0))
     shuffle = [((i >> 1) * 2) + (i & 1) for i in range(X1.n)]
     g = _order_preserving(X1, prod, shuffle)
-    hom = _e_hom(X1, g, _downset_lattice(X1), E2)  # E(X x 2) -> E(cube(n+1))
+    hom = _e_hom(g, _downset_lattice(X1), E2)  # E(X x 2) -> E(cube(n+1))
     forward = [hom.mapping[w_layers.forward[k]] for k in range(Phi1.n)]
     w = IsoWitness.from_forward(forward)
     return w.validate(Phi1.order, hom.target.order), Phi1.n

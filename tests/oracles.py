@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: the
 closure of generating pairs by Warshall's triple loop, covers, relation rows
 and lattice bounds on the definitions, antichains by subset search,
-isomorphism and the canonical key by trying every bijection, dimension by
+isomorphism and the canonical key by trying every bijection, isomorphism
+witnesses, order-preserving maps and preimages by looping over every pair
+or point, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
 prime ideals by filtering the power set, lattice tables by searching all
 bounds (and checked against all bounds), inclusion orders by comparing
@@ -127,6 +129,43 @@ def brute_iso(P, Q):
         ):
             return perm
     return None
+
+
+def brute_iso_valid(w, P, Q):
+    """Whether the witness w is an order isomorphism P -> Q: its forward and
+    backward maps are inverse bijections, and i <= j iff forward[i] <=
+    forward[j], pair by pair."""
+    n = P.n
+    if Q.n != n or len(w.forward) != n or len(w.backward) != n:
+        return False
+    if sorted(w.forward) != list(range(n)):
+        return False
+    if any(w.backward[w.forward[i]] != i for i in range(n)):
+        return False
+    return all(
+        P.leq(i, j) == Q.leq(w.forward[i], w.forward[j])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def brute_first_order_violation(X, Y, g):
+    """The first (a, b) in lexicographic order with a <= b in X but g[a] not
+    below g[b] in Y, or None when g is order-preserving."""
+    for a in range(X.n):
+        for b in range(X.n):
+            if X.leq(a, b) and not Y.leq(g[a], g[b]):
+                return (a, b)
+    return None
+
+
+def brute_preimage(g, mask):
+    """The points x with g[x] in mask, as a bitmask, one point at a time."""
+    pre = 0
+    for x in range(len(g)):
+        if (mask >> g[x]) & 1:
+            pre |= 1 << x
+    return pre
 
 
 def brute_canonical_key(P):

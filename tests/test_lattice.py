@@ -203,3 +203,77 @@ def test_missing_bounds_match_oracle_on_all_small_posets():
                 assert str(exc.value) == str(expected)
     # 404 posets of 2-6 elements, 24 of them lattices
     assert non_lattices == 2 * (404 - 24)
+
+
+def closure_system(rng, points, draws):
+    """A random family of subsets of ``points`` points closed under
+    intersection, with the full set: a lattice under inclusion, meet being
+    intersection and join the least member holding the union.  Returns the
+    members in random order and their meet and join tables."""
+    full = (1 << points) - 1
+    sets = {full}
+    for _ in range(draws):
+        s = rng.randrange(full + 1)
+        sets |= {s & t for t in sets} | {s}
+    sets = list(sets)
+    rng.shuffle(sets)
+    index = {s: k for k, s in enumerate(sets)}
+
+    def least_above(u):
+        out = full
+        for t in sets:
+            if u & ~t == 0:
+                out &= t
+        return index[out]
+
+    meet = [[index[s & t] for t in sets] for s in sets]
+    join = [[least_above(s | t) for t in sets] for s in sets]
+    return sets, meet, join
+
+
+def test_distributivity_fallback_matches_triple_oracle_on_random_lattices():
+    rng = random.Random(10)
+    failing = 0
+    for _ in range(60):
+        sets, meet, join = closure_system(rng, rng.randint(4, 7), rng.randint(3, 12))
+        n = len(sets)
+        if n < 2:
+            continue
+        up = tuple(
+            sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets
+        )
+        P = o.Poset(n, up, tuple(map(str, range(n))))
+        triple = brute_first_failing_triple(meet, join)
+        if triple is None:
+            o.lattice_from_poset(P)
+            continue
+        failing += 1
+        with pytest.raises(NotDistributive) as exc:
+            o.lattice_from_poset(P)
+        assert exc.value.triple == triple
+    assert failing == 48  # of 60 lattices, of 4-38 elements
+
+
+def test_distributivity_fallback_on_a_long_chain_under_m3():
+    # 0 < 1 < ... < 199, then M3 with bottom 199, atoms 200-202 and top 203;
+    # the first failing triple has a = 200, so the search passes 200 rows
+    n = 204
+    height = list(range(200)) + [200, 200, 200, 201]
+
+    def meet_of(a, b):
+        if height[a] == height[b] and a != b:
+            return 199
+        return a if height[a] < height[b] else b
+
+    def join_of(a, b):
+        if height[a] == height[b] and a != b:
+            return 203
+        return a if height[a] > height[b] else b
+
+    meet = [[meet_of(a, b) for b in range(n)] for a in range(n)]
+    join = [[join_of(a, b) for b in range(n)] for a in range(n)]
+    pairs = [(i, i + 1) for i in range(199)]
+    pairs += [(199, a) for a in (200, 201, 202)] + [(a, 203) for a in (200, 201, 202)]
+    with pytest.raises(NotDistributive) as exc:
+        o.lattice_from_poset(o.poset_new(n, pairs))
+    assert exc.value.triple == brute_first_failing_triple(meet, join) == (200, 201, 202)

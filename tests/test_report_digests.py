@@ -1,11 +1,14 @@
 """Byte-identity pins: SHA-256 digests of whole CLI outputs (exit code,
 stdout, stderr) on seeded documents large enough to exercise the bit-row
-builders (closure, covers, lattice tables, relation rows).
+builders (closure, covers, lattice tables, relation rows) and the image
+witness, and on the experiment suites whose every row is a checked
+certificate.
 
 The documents are generated here with plain ``random`` and no library code,
 and the digests were recorded with the element-by-element builders that the
 bit-row ones replaced, so any change in a report, an error message or a pair
-order shows up as a changed digest.
+order shows up as a changed digest.  The ``image`` and suite digests were
+recorded with the pair-by-pair certificate checks, before row pullback.
 """
 
 import hashlib
@@ -48,21 +51,39 @@ def sparse_poset_document(seed=5, levels=(120, 100, 80)):
     return _document("poset", n, _shuffled(rng, n, pairs))
 
 
-def downset_lattice_document(seed=6, k=8, p=0.3):
-    """E(X) for a random order X on k points, generated by its covers (add
-    one point to a down-set), shuffled."""
-    rng = random.Random(seed)
+def _random_down_sets(rng, k, p):
+    """The down-sets of a random order on k points, as sorted bitmasks."""
     below = [0] * k
     for j in range(k):
         for i in range(j):
             if rng.random() < p:
                 below[j] |= 1 << i | below[i]
-    ds = [s for s in range(1 << k)
-          if all(below[x] & ~s == 0 for x in range(k) if (s >> x) & 1)]
+    return [s for s in range(1 << k)
+            if all(below[x] & ~s == 0 for x in range(k) if (s >> x) & 1)]
+
+
+def downset_lattice_document(seed=6, k=8, p=0.3):
+    """E(X) for a random order X on k points, generated by its covers (add
+    one point to a down-set), shuffled."""
+    rng = random.Random(seed)
+    ds = _random_down_sets(rng, k, p)
     index = {s: t for t, s in enumerate(ds)}
     covers = [(index[s], index[s | 1 << x]) for s in ds for x in range(k)
               if not (s >> x) & 1 and (s | 1 << x) in index]
     return _document("lattice", len(ds), _shuffled(rng, len(ds), covers))
+
+
+def relation_lattice_document(seed=10, k=6, p=0.3):
+    """Phi(L) for L = E(X), X a random order on k points: the pairs s <= t
+    of down-sets of X under the componentwise order, generated by all
+    related pairs, shuffled.  It is in the image of Phi."""
+    rng = random.Random(seed)
+    ds = _random_down_sets(rng, k, p)
+    prs = [(s, t) for s in ds for t in ds if s & ~t == 0]
+    pairs = [(i, j) for i, (s, t) in enumerate(prs)
+             for j, (s2, t2) in enumerate(prs)
+             if i != j and s & ~s2 == 0 and t & ~t2 == 0]
+    return _document("lattice", len(prs), _shuffled(rng, len(prs), pairs))
 
 
 def cyclic_document():
@@ -74,6 +95,8 @@ def cyclic_document():
 CASES = {
     "sparse300": sparse_poset_document,
     "downsets54": downset_lattice_document,
+    "downsets32": lambda: downset_lattice_document(seed=11, k=6),
+    "phi24": relation_lattice_document,
     "cycle12": cyclic_document,
 }
 
@@ -92,8 +115,21 @@ PINS = {
         "d241a7c1ff3a179933a44647bda4bef9d3a54b2af1f540bdaf51820bc61074ed",
     ("downsets54", ("phi", "--as", "lattice")):
         "70716c9091a0bad5eb2c0dce657961a7157df70b06b4e310edc92bba3219d58a",
+    ("downsets32", ("image",)):
+        "c58bc8adbed84a454d049fcd0825592864fd436a9dbd96c0a2f0b1b4dadf2727",
+    ("phi24", ("image",)):
+        "b6247dfe538031bc403e6af6abc663fd4383c63cbb452658a21e2b532f228e83",
     ("cycle12", ("check",)):
         "24384abe5e207aadcb2a2d66dfabb4d1d927be6ea5311203ed4ecefa0446c50a",
+}
+
+
+# (suite, --n-max) -> SHA-256 of repr((code, stdout, stderr))
+SUITE_PINS = {
+    ("shift", "3"):
+        "2aadbd829488651b92181a7666264f482224b4aac34348e39f83b13952356f32",
+    ("lemma51", "4"):
+        "c10e362a5dacc2f3aefe63bb27692f06c93f915ec3e9bd414372e6c66f7bb830",
 }
 
 
@@ -107,6 +143,9 @@ def digest(capsys, path, command, rest):
 def test_generated_documents_have_the_intended_sizes():
     assert sparse_poset_document()["size"] == 300
     assert downset_lattice_document()["size"] == 54
+    assert CASES["downsets32"]()["size"] == 32
+    # Phi of a 24-element lattice
+    assert relation_lattice_document()["size"] == 180
 
 
 @pytest.mark.parametrize(
@@ -118,3 +157,11 @@ def test_report_matches_recorded_digest(tmp_path, capsys, case, argv):
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(CASES[case]()))
     assert digest(capsys, path, argv[0], argv[1:]) == PINS[(case, argv)]
+
+
+@pytest.mark.parametrize("suite,n_max", sorted(SUITE_PINS))
+def test_suite_matches_recorded_digest(capsys, suite, n_max):
+    code = main(["experiments", suite, "--n-max", n_max])
+    out = capsys.readouterr()
+    text = repr((code, out.out, out.err))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_PINS[(suite, n_max)]
