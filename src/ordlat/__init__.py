@@ -19,7 +19,6 @@ from .poset import (
     IsoWitness,
     Poset,
     antichain,
-    canonical_form,
     canonical_key,
     chain,
     cube,

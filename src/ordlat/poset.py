@@ -136,11 +136,9 @@ class Poset:
     def induced(self, elems) -> "Poset":
         """Subposet on ``elems``, reindexed in the given order."""
         elems = list(elems)
-        pos = {a: t for t, a in enumerate(elems)}
-        keep = sum(1 << a for a in pos)
-        up = tuple(
-            sum(1 << pos[b] for b in _bits(self.up[a] & keep)) for a in elems
-        )
+        # position t's up-row is the preimage of elems[t]'s up-row
+        pull = _pullback(elems, self.n)
+        up = tuple(pull(self.up[a]) for a in elems)
         return Poset(len(elems), up, tuple(self.labels[a] for a in elems))
 
     def relabel(self, perm) -> "Poset":
@@ -545,6 +543,17 @@ def is_isomorphic(P: Poset, Q: Poset) -> IsoWitness | None:
     return IsoWitness.from_forward(forward)
 
 
+def _twin_classes(P: Poset) -> list[list[int]]:
+    """P's elements grouped by (strict up-set, strict down-set), each class
+    in index order, classes in order of their least element.  Permuting a
+    class's members, its twins, is an automorphism of P."""
+    up, down = P.up, P.down_masks
+    twins: dict[tuple[int, int], list[int]] = {}
+    for v in range(P.n):
+        twins.setdefault((up[v] ^ (1 << v), down[v] ^ (1 << v)), []).append(v)
+    return list(twins.values())
+
+
 def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical encoding of P's relation matrix, and a permutation realizing
     it (``perm[i]`` = element placed at position i).
@@ -589,12 +598,9 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for u in _bits(down[v]):
             r |= 1 << shift[u]
         row.append(r)
-    twins: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        twins.setdefault((up[v] ^ (1 << v), down[v] ^ (1 << v)), []).append(v)
     after = [0] * n  # the twin that becomes placeable once v is placed
     ready = 0
-    for cls in twins.values():
+    for cls in _twin_classes(P):
         ready |= 1 << cls[0]
         for u, w in zip(cls, cls[1:]):
             after[u] = 1 << w
@@ -635,17 +641,46 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(chunks), frontier[0][0]
 
 
-def canonical_form(P: Poset) -> Poset:
-    """Canonical representative of P's isomorphism class, default labels."""
-    _, perm = canonical_key(P)
-    Q = P.relabel(perm)
-    return Poset(Q.n, Q.up, _default_labels(Q.n))
-
-
 def _iso_invariant(P: Poset) -> tuple[int, ...]:
     """The sorted (down-size, up-size) profile: equal for isomorphic posets,
     and compared by ``is_isomorphic`` before it searches."""
     return P.iso_invariant
+
+
+def _kept_down_sets(Q: Poset) -> list[int]:
+    """The down-sets D of Q that the enumeration grows a new maximal element
+    above: those that pass two rules, each of which drops a candidate only
+    when a kept one is isomorphic to it (McKay, *Isomorph-free exhaustive
+    generation*, 1998).
+
+    Twin orbit: permuting twins is an automorphism of Q, so D may be traded
+    for the down-set that holds as many members of each twin class, the
+    lowest-indexed ones.  Canonical parent: every class arises by deleting
+    a maximal element whose down-set is largest among the maximal elements,
+    so D is dropped when some maximal element of Q outside D, maximal in the
+    candidate too and with the same down-set there, has a down-set larger
+    than the new element's |D| + 1.  A twin permutation keeps down-set
+    sizes, so together the rules still keep a candidate of every class.
+    Both rules are read off masks built once per Q."""
+    n = Q.n
+    up, down = Q.up, Q.down_masks
+    over = [0] * (n + 1)  # over[k]: maximal x with |down x| > k + 1
+    for x in range(n):
+        if up[x] == 1 << x:
+            for k in range(_popcount(down[x]) - 1):
+                over[k] |= 1 << x
+    twins = 0  # members of twin classes of two or more
+    prefixes = {0}  # the allowed values of D & twins
+    for cls in _twin_classes(Q):
+        if len(cls) > 1:
+            masks = [sum(1 << v for v in cls[:k]) for k in range(len(cls) + 1)]
+            prefixes = {p | m for p in prefixes for m in masks}
+            twins |= masks[-1]
+    return [
+        D
+        for D in down_sets(Q)
+        if D & twins in prefixes and not over[_popcount(D)] & ~D
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -660,7 +695,7 @@ def _enumerate_cached(n: int) -> tuple[Poset, ...]:
     found: dict[tuple, list[Poset]] = {}  # invariant -> classes found so far
     out: dict[tuple, Poset] = {}
     for Q in _enumerate_cached(n - 1):
-        for D in down_sets(Q):
+        for D in _kept_down_sets(Q):
             up = list(Q.up) + [bit]
             for i in _bits(D):
                 up[i] |= bit
@@ -672,7 +707,11 @@ def _enumerate_cached(n: int) -> tuple[Poset, ...]:
                 continue
             key, perm = canonical_key(cand)
             if key not in out:
-                out[key] = Poset(n, cand.relabel(perm).up, labels)
+                rep = Poset(n, cand.relabel(perm).up, labels)
+                # built with the class: the bucket's tests and every suite
+                # but the fixed-point scan read a class's down-rows
+                rep.down_masks
+                out[key] = rep
             bucket.append(out[key])
     reps = tuple(out[k] for k in sorted(out))
     for P in reps:
@@ -685,13 +724,15 @@ def enumerate_posets(n: int) -> list[Poset]:
     """One canonical representative per isomorphism class of n-element
     posets, sorted by canonical encoding.
 
-    Grown by attaching a maximal element above each down-set of each
-    (n-1)-element class.  Each such candidate goes into a bucket keyed by
-    its sorted (down-size, up-size) profile, and is dropped when
-    ``is_isomorphic`` matches it to a class already found there.  So
-    ``canonical_key`` runs once per class, on the first candidate of the
-    class; the representative is that candidate relabelled into canonical
-    order, which depends only on the class."""
+    Grown by attaching a maximal element above down-sets of each
+    (n-1)-element class.  A candidate that the twin-orbit or
+    canonical-parent rule of ``_kept_down_sets`` shows to be isomorphic to
+    a kept one is skipped before it is built.  Each kept candidate goes into
+    a bucket keyed by its sorted (down-size, up-size) profile, and is
+    dropped when ``is_isomorphic`` matches it to a class already found
+    there.  So ``canonical_key`` runs once per class, on the first candidate
+    of the class; the representative is that candidate relabelled into
+    canonical order, which depends only on the class."""
     if n < 1:
         raise ValueError("enumerate_posets needs n >= 1")
     if n > ENUMERATION_CAP:

@@ -127,8 +127,12 @@ def test_covers_match_oracle_on_random_posets():
 
 def test_induced_matches_the_definition():
     rng = random.Random(3)
-    for P in o.enumerate_posets(5):
-        elems = rng.sample(range(5), rng.randint(0, 5))
+    large = [
+        random_relabelled_poset(rng, rng.randint(30, 120), rng.uniform(0.02, 0.2))
+        for _ in range(20)
+    ]
+    for P in o.enumerate_posets(5) + large:
+        elems = rng.sample(range(P.n), rng.randint(0, P.n))
         Q = P.induced(elems)
         assert Q.up == tuple(
             sum(1 << t for t, b in enumerate(elems) if P.leq(a, b)) for a in elems
@@ -385,6 +389,60 @@ def test_enumeration_is_exact_under_a_constant_invariant(
 def test_enumeration_matches_keying_every_candidate():
     for n in range(1, 6):
         assert [P.up for P in o.enumerate_posets(n)] == brute_enumerate_posets(n)
+
+
+def profile(P):
+    """Sorted (down-size, up-size) pairs, counted pair by pair."""
+    r = range(P.n)
+    return tuple(sorted(
+        (sum(P.leq(j, i) for j in r), sum(P.leq(i, j) for j in r)) for i in r
+    ))
+
+
+def test_pruning_drops_only_isomorphic_candidates():
+    # every candidate the twin-orbit and canonical-parent rules drop is
+    # isomorphic, by trying every bijection, to one they keep at the same n
+    dropped_total = 0
+    for n in range(1, 7):
+        kept, dropped = [], []
+        for Q in o.enumerate_posets(n - 1) if n > 1 else [o.Poset(0, (), ())]:
+            down = brute_down_sets(Q)
+            keep = o.poset._kept_down_sets(Q)
+            assert set(keep) <= set(down)
+            for D in down:
+                rows = [r | ((D >> i) & 1) << (n - 1) for i, r in enumerate(Q.up)]
+                cand = o.Poset(n, tuple(rows) + (1 << (n - 1),), ("",) * n)
+                (kept if D in keep else dropped).append(cand)
+        assert kept
+        by_profile = {}
+        for cand in kept:
+            by_profile.setdefault(profile(cand), []).append(cand)
+        for cand in dropped:
+            same = by_profile.get(profile(cand), [])
+            assert any(brute_iso(cand, K) is not None for K in same)
+        dropped_total += len(dropped)
+    assert dropped_total > 0
+
+
+def test_enumeration_builds_few_candidates(cold_enumeration, monkeypatch):
+    # candidates built (one invariant each) and isomorphism tests run by
+    # enumerate_posets(7) on an empty cache; building every candidate would
+    # take 6,378 and 4,518
+    calls = {"invariant": 0, "iso": 0}
+    real_invariant, real_iso = o.poset._iso_invariant, o.poset.is_isomorphic
+
+    def invariant(P):
+        calls["invariant"] += 1
+        return real_invariant(P)
+
+    def iso(P, Q):
+        calls["iso"] += 1
+        return real_iso(P, Q)
+
+    monkeypatch.setattr(o.poset, "_iso_invariant", invariant)
+    monkeypatch.setattr(o.poset, "is_isomorphic", iso)
+    assert len(o.enumerate_posets(7)) == POSET_COUNTS[6]
+    assert calls == {"invariant": 2775, "iso": 548}
 
 
 def test_enumeration_no_isomorphic_duplicates():
