@@ -82,7 +82,7 @@ def dot_export(P: Poset, target: str = "hasse") -> str:
         raise ValueError(f"unknown dot target {target!r}")
     lines = ["digraph poset {", "  rankdir=BT;"]
     for i in range(P.n):
-        label = P.labels[i].replace('"', '\\"')
+        label = P.labels[i].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     if target == "order":
         edges = [(i, j) for i, j in P.pairs() if i != j]

@@ -18,7 +18,7 @@ from .errors import (
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
 from .lattice import _join_irreducibles
 from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, _pullback
-from .poset import down_sets
+from .poset import _transpose, down_sets
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,7 @@ def _inclusion_order(masks: list[int], names) -> Poset:
     names of its members."""
     # holding[x]: the masks that contain x; the masks above m are those
     # holding every member of m
-    holding = [0] * len(names)
-    for j, m in enumerate(masks):
-        for x in _bits(m):
-            holding[x] |= 1 << j
+    holding = _transpose(masks, len(names))
     full = (1 << len(masks)) - 1
     up = []
     labels = []
@@ -138,13 +135,8 @@ class SpectrumMap:
     mapping: tuple[int, ...]
 
     def validate(self) -> bool:
-        """i <= j implies mapping[i] <= mapping[j]: each up-row of the
-        source lies inside the preimage of its image's up-row."""
-        X, Y, g = self.source, self.target, self.mapping
-        if len(g) != X.n or any(not 0 <= v < Y.n for v in g):
-            return False
-        pull = _pullback(g, Y.n)
-        return all(row & ~pull(Y.up[v]) == 0 for row, v in zip(X.up, g))
+        """i <= j implies mapping[i] <= mapping[j]."""
+        return _order_violation(self.source, self.target, self.mapping) is None
 
 
 def spec_hom(f: LatticeHom) -> SpectrumMap:
@@ -152,16 +144,12 @@ def spec_hom(f: LatticeHom) -> SpectrumMap:
     into spec(source of f)."""
     src_ideals = prime_ideals(f.source)
     tgt_ideals = prime_ideals(f.target)
-    index = {I.members: k for k, I in enumerate(src_ideals)}
     pull = _pullback(f.mapping, f.target.n)
-    mapping = []
-    for I in tgt_ideals:
-        pre = pull(I.members)
-        if pre not in index:
-            raise InternalError(
-                "preimage of a prime ideal is not prime; this cannot happen"
-            )
-        mapping.append(index[pre])
+    mapping = _positions(
+        [pull(I.members) for I in tgt_ideals],
+        [I.members for I in src_ideals],
+        "preimage of a prime ideal",
+    )
     source = _spectrum(f.target, tgt_ideals)
     out = SpectrumMap(source, _spectrum(f.source, src_ideals), tuple(mapping))
     if not out.validate():
@@ -203,19 +191,28 @@ def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:
 
 
 def _order_preserving(X: Poset, Y: Poset, g) -> tuple[int, ...]:
-    """g as a tuple, checked to be an order-preserving map X -> Y.  A
-    violation is raised on the first a <= b, in lexicographic order, with
-    g[a] not below g[b]: the first a whose up-row leaves the preimage of
-    g[a]'s up-row, and the least b it leaves there."""
+    """g as a tuple, checked to be an order-preserving map X -> Y; a
+    violation raises ``NotOrderPreserving`` on ``_order_violation``'s pair."""
     g = tuple(g)
+    bad = _order_violation(X, Y, g)
+    if bad is not None:
+        raise NotOrderPreserving(bad)
+    return g
+
+
+def _order_violation(X: Poset, Y: Poset, g):
+    """None when g is an order-preserving map X -> Y, ``("map not total",
+    None)`` when g is not a map X -> Y, else the first a <= b, in
+    lexicographic order, with g[a] not below g[b]: the first a whose up-row
+    leaves the preimage of g[a]'s up-row, and the least b it leaves there."""
     if len(g) != X.n or any(not 0 <= v < Y.n for v in g):
-        raise NotOrderPreserving(("map not total", None))
+        return ("map not total", None)
     pull = _pullback(g, Y.n)
     for a, (row, v) in enumerate(zip(X.up, g)):
         bad = row & ~pull(Y.up[v])
         if bad:
-            raise NotOrderPreserving((a, (bad & -bad).bit_length() - 1))
-    return g
+            return (a, (bad & -bad).bit_length() - 1)
+    return None
 
 
 def _e_hom(g, ex, ey) -> LatticeHom:
@@ -223,9 +220,40 @@ def _e_hom(g, ex, ey) -> LatticeHom:
     given with its carrier as ``_downset_lattice`` returns it.  The last
     down-set of Y is all of Y, so its bit length is Y's point count."""
     (EX, dsx), (EY, dsy) = ex, ey
-    index = {m: k for k, m in enumerate(dsx)}
     pull = _pullback(g, dsy[-1].bit_length())
-    return hom_new(EY, EX, [index[pull(d)] for d in dsy])
+    return hom_new(
+        EY, EX, _positions([pull(d) for d in dsy], dsx, "preimage of a down-set")
+    )
+
+
+def _positions(keys, carrier, what: str) -> list[int]:
+    """The position of each key in carrier; a key outside it raises
+    ``InternalError`` naming what the keys are."""
+    index = {m: k for k, m in enumerate(carrier)}
+    try:
+        return [index[m] for m in keys]
+    except KeyError:
+        raise InternalError(f"{what} is not in its carrier") from None
+
+
+def _certified(P: Poset, Q: Poset, keys, carrier, what: str) -> IsoWitness:
+    """The map sending i to the position of keys[i] in carrier, certified
+    as an order isomorphism P -> Q; a failure raises ``InternalError``
+    naming what the map is."""
+    forward = _positions(keys, carrier, what)
+    # from_forward needs every position below len(forward)
+    if len(carrier) == len(forward):
+        w = IsoWitness.from_forward(forward)
+        if w.validate(P, Q):
+            return w
+    raise InternalError(f"{what} failed to be an order isomorphism")
+
+
+def _unit_images(masks: list[int], width: int) -> list[int]:
+    """For each point a below width, the positions in masks of the masks
+    omitting a: the image of a under a duality unit."""
+    full = (1 << len(masks)) - 1
+    return [full & ~h for h in _transpose(masks, width)]
 
 
 def unit_lattice(L: DistLattice) -> IsoWitness:
@@ -234,22 +262,8 @@ def unit_lattice(L: DistLattice) -> IsoWitness:
     ideals = prime_ideals(L)
     # Birkhoff: the spectrum of L has exactly |L| down-sets
     E, ds = _downset_lattice(_spectrum(L, ideals), L.n)
-    index = {m: k for k, m in enumerate(ds)}
-    forward = []
-    for a in range(L.n):
-        xa = 0
-        for k, I in enumerate(ideals):
-            if not (I.members >> a) & 1:
-                xa |= 1 << k
-        if xa not in index:
-            raise InternalError("unit image is not a down-set of the spectrum")
-        forward.append(index[xa])
-    if sorted(forward) != list(range(E.n)):
-        raise InternalError("duality unit failed to be a bijection")
-    w = IsoWitness.from_forward(forward)
-    if not w.validate(L.order, E.order):
-        raise InternalError("duality unit failed to be an order isomorphism")
-    return w
+    images = _unit_images([I.members for I in ideals], L.n)
+    return _certified(L.order, E.order, images, ds, "duality unit")
 
 
 def unit_space(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
@@ -257,19 +271,6 @@ def unit_space(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     isomorphism from X onto the spectrum of its down-set lattice."""
     E, ds = _downset_lattice(X, max_size)
     ideals = prime_ideals(E)
-    index = {I.members: k for k, I in enumerate(ideals)}
-    forward = []
-    for x in range(X.n):
-        mask = 0
-        for k, d in enumerate(ds):
-            if not (d >> x) & 1:
-                mask |= 1 << k
-        if mask not in index:
-            raise InternalError("co-unit image is not a prime ideal")
-        forward.append(index[mask])
-    if sorted(forward) != list(range(len(ideals))):
-        raise InternalError("duality co-unit failed to be a bijection")
-    w = IsoWitness.from_forward(forward)
-    if not w.validate(X, _spectrum(E, ideals)):
-        raise InternalError("duality co-unit failed to be an order isomorphism")
-    return w
+    carrier = [I.members for I in ideals]
+    images = _unit_images(ds, X.n)
+    return _certified(X, _spectrum(E, ideals), images, carrier, "duality co-unit")

@@ -57,6 +57,16 @@ def _pullback(g, width: int):
     return pull
 
 
+def _transpose(rows, width: int) -> list[int]:
+    """``out[j]`` is the mask of the i whose row holds bit j; every row must
+    lie in range(width)."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return out
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable finite poset; ``up[i]`` is the bitmask of elements >= i."""
@@ -71,11 +81,7 @@ class Poset:
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """down_masks[j] is the bitmask of elements <= j."""
-        down = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(self.up[i]):
-                down[j] |= 1 << i
-        return tuple(down)
+        return tuple(_transpose(self.up, self.n))
 
     @cached_property
     def iso_profile(self) -> tuple[int, ...]:

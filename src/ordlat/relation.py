@@ -18,10 +18,13 @@ from .lattice import (
 )
 from .duality import (
     PrimeIdeal,
+    _certified,
     _downset_lattice,
     _e_hom,
     _order_preserving,
+    _positions,
     _spectrum,
+    _unit_images,
     prime_ideals,
 )
 from .poset import (
@@ -32,6 +35,7 @@ from .poset import (
     Poset,
     _bits,
     _popcount,
+    _pullback,
     chain,
     cube,
     down_sets,
@@ -105,14 +109,9 @@ def relation_hom(f: LatticeHom, max_size: int = DEFAULT_MAX_SIZE) -> LatticeHom:
     """Image of a (0,1)-hom under the relation functor: (a, b) componentwise."""
     src, sprs = relation_lattice(f.source, max_size=max_size)
     tgt, tprs = relation_lattice(f.target, max_size=max_size)
-    tindex = {pr: k for k, pr in enumerate(tprs)}
-    mapping = []
-    for a, b in sprs:
-        image = (f.mapping[a], f.mapping[b])
-        if image not in tindex:
-            raise InternalError("hom image left the relation carrier")
-        mapping.append(tindex[image])
-    return hom_new(src, tgt, mapping)
+    g = f.mapping
+    images = [(g[a], g[b]) for a, b in sprs]
+    return hom_new(src, tgt, _positions(images, tprs, "hom image of a pair"))
 
 
 def relation_prime_ideals(
@@ -122,27 +121,25 @@ def relation_prime_ideals(
     ideal I of L, the pairs with both components in I, and the pairs with
     first component in I.  Each result is independently revalidated."""
     PhiL, prs = relation_lattice(L, max_size=max_size)
-    return _closed_form_primes(PhiL, prs, prime_ideals(L))
+    return _closed_form_primes(PhiL, *_components(prs, L.n), prime_ideals(L))
 
 
-def _closed_form_primes(PhiL, prs, ideals) -> list[PrimeIdeal]:
-    masks = []
-    seen = set()
+def _components(prs: PairMap, width: int):
+    """The preimage maps of the pairs' first and second components, over
+    masks of range(width)."""
+    return (
+        _pullback([a for a, _ in prs], width),
+        _pullback([b for _, b in prs], width),
+    )
+
+
+def _closed_form_primes(PhiL, pull1, pull2, ideals) -> list[PrimeIdeal]:
+    masks = set()
     for I in ideals:
-        both = 0
-        first = 0
-        for k, (a, b) in enumerate(prs):
-            if (I.members >> a) & 1:
-                first |= 1 << k
-                if (I.members >> b) & 1:
-                    both |= 1 << k
-        for m in (both, first):
-            if m not in seen:
-                seen.add(m)
-                masks.append(m)
-    masks.sort()
+        first = pull1(I.members)
+        masks.update((first & pull2(I.members), first))
     out = []
-    for m in masks:
+    for m in sorted(masks):
         ideal = PrimeIdeal(PhiL, m)
         if not ideal.validate():
             raise InternalError("closed-form member is not a prime ideal")
@@ -162,7 +159,8 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
     PhiL, prs = relation_lattice(L, max_size=max_size)
     ideals = prime_ideals(L)
     direct = prime_ideals(PhiL)
-    closed = _closed_form_primes(PhiL, prs, ideals)
+    pull1, pull2 = _components(prs, L.n)
+    closed = _closed_form_primes(PhiL, pull1, pull2, ideals)
     if {I.members for I in direct} != {I.members for I in closed}:
         return False
     prime_masks = {I.members for I in ideals}
@@ -170,15 +168,11 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
     for S in direct:
         s1 = 0
         s2 = 0
-        for k, (a, b) in enumerate(prs):
-            if (S.members >> k) & 1:
-                s1 |= 1 << a
-                s2 |= 1 << b
-        rebuilt = 0
-        for k, (a, b) in enumerate(prs):
-            if (s1 >> a) & 1 and (s2 >> b) & 1:
-                rebuilt |= 1 << k
-        if rebuilt != S.members:
+        for k in _bits(S.members):
+            a, b = prs[k]
+            s1 |= 1 << a
+            s2 |= 1 << b
+        if pull1(s1) & pull2(s2) != S.members:
             return False
         if s1 not in prime_masks:
             return False
@@ -208,21 +202,15 @@ def _layer_iso(ds, PhiE, prs, e2) -> IsoWitness:
     lattice of their lattice with its pairs, and the down-set lattice of
     X x 2 with its carrier."""
     E2, ds2 = e2
-    index2 = {m: k for k, m in enumerate(ds2)}
-    forward = []
+    layered = []
     for i, j in prs:
         c = 0
         for x in _bits(ds[i]):
             c |= 1 << (2 * x + 1)
         for x in _bits(ds[j]):
             c |= 1 << (2 * x)
-        if c not in index2:
-            raise InternalError("layered image is not a down-set of X x 2")
-        forward.append(index2[c])
-    w = IsoWitness.from_forward(forward)
-    if not w.validate(PhiE.order, E2.order):
-        raise InternalError("layer map failed to be an order isomorphism")
-    return w
+        layered.append(c)
+    return _certified(PhiE.order, E2.order, layered, ds2, "layer map")
 
 
 @dataclass(frozen=True)
@@ -327,25 +315,18 @@ def _image_witness(L: DistLattice, ideals, max_size: int):
     fw = factor_by_two(X)
     if fw is None:
         return None
-    Y = fw.factor
-    K, ds = _downset_lattice(Y, max_size)
+    K, ds = _downset_lattice(fw.factor, max_size)
     PhiK, prs = relation_lattice(K, max_size=max_size)
-    index = {(ds[i], ds[j]): k for k, (i, j) in enumerate(prs)}
-    h = fw.assembled(X).forward  # (y, q) of Y x 2, at 2y + q, -> X
-    forward = []
-    for a in range(L.n):
-        layers = [0, 0]  # bottom (q = 0) and top (q = 1)
-        for p, x in enumerate(h):
-            if a not in ideals[x]:
-                layers[p & 1] |= 1 << (p >> 1)
-        pair = (layers[1], layers[0])
-        if pair not in index:
-            raise InternalError("layered image is not a pair of down-sets")
-        forward.append(index[pair])
-    w = IsoWitness.from_forward(forward).inverse()
-    if not w.validate(PhiK.order, L.order):
-        raise InternalError("image witness failed to validate")
-    return K, w
+    # (y, q) of Y x 2 sits at 2y + q and goes to h[2y + q] of X: the unit
+    # image of a, pulled back through the top (q = 1) and the bottom (q = 0)
+    # layer, is a pair of down-sets of Y
+    h = fw.assembled(X).forward
+    top, bottom = _pullback(h[1::2], X.n), _pullback(h[0::2], X.n)
+    images = _unit_images([I.members for I in ideals], L.n)
+    layered = [(top(u), bottom(u)) for u in images]
+    carrier = [(ds[i], ds[j]) for i, j in prs]
+    w = _certified(L.order, PhiK.order, layered, carrier, "image witness")
+    return K, w.inverse()
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ closure of generating pairs by Warshall's triple loop, covers, relation rows
 and lattice bounds on the definitions, antichains by subset search,
 isomorphism and the canonical key by trying every bijection, isomorphism
 witnesses, order-preserving maps and preimages by looping over every pair
-or point, dimension by
+or point, transposes and unit images by testing every bit, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
 prime ideals by filtering the power set, lattice tables by searching all
 bounds (and checked against all bounds), inclusion orders by comparing
@@ -166,6 +166,27 @@ def brute_preimage(g, mask):
         if (mask >> g[x]) & 1:
             pre |= 1 << x
     return pre
+
+
+def brute_transpose(rows, width):
+    """Bit i of entry j is set iff bit j of rows[i] is, for j < width."""
+    return [
+        sum(1 << i for i, row in enumerate(rows) if (row >> j) & 1)
+        for j in range(width)
+    ]
+
+
+def brute_unit_images(masks, width):
+    """For each a < width, the positions k with a outside masks[k], one
+    mask at a time: the unit image of a."""
+    out = []
+    for a in range(width):
+        image = 0
+        for k, m in enumerate(masks):
+            if not (m >> a) & 1:
+                image |= 1 << k
+        out.append(image)
+    return out
 
 
 def brute_canonical_key(P):

@@ -1,20 +1,32 @@
 """Order certificates checked by row pullback, against pair-by-pair oracles:
-isomorphism witnesses, order-preserving maps and spectrum maps, and the
-preimages that ``e_hom`` and ``spec_hom`` compute."""
+isomorphism witnesses, order-preserving maps and spectrum maps, the
+preimages that ``e_hom`` and ``spec_hom`` compute, the transposes and unit
+images that the duality maps are read from, and the failures of the one
+lookup-and-certify step they all go through."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordlat as o
-from ordlat import NotOrderPreserving
-from ordlat.duality import SpectrumMap, _order_preserving
-from ordlat.poset import IsoWitness, _pullback
+from ordlat import InternalError, NotOrderPreserving
+from ordlat.duality import (
+    SpectrumMap,
+    _certified,
+    _downset_lattice,
+    _e_hom,
+    _order_preserving,
+    _positions,
+    _unit_images,
+)
+from ordlat.poset import IsoWitness, _pullback, _transpose
 from oracles import (
     brute_closure,
     brute_first_order_violation,
     brute_iso_valid,
     brute_preimage,
+    brute_transpose,
+    brute_unit_images,
 )
 
 
@@ -161,3 +173,55 @@ def test_spec_hom_on_every_small_hom_matches_the_preimage_loop():
                 assert [src[k] for k in s.mapping] == [
                     brute_preimage(f.mapping, m) for m in tgt
                 ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_transpose_is_the_bit_loop(data):
+    width = data.draw(st.integers(0, 12))
+    row = st.integers(0, (1 << width) - 1)
+    rows = data.draw(st.lists(row, max_size=12))
+    assert _transpose(rows, width) == brute_transpose(rows, width)
+
+
+def test_unit_images_are_the_omitting_loop():
+    """The unit a |-> {prime ideals omitting a} of E(X) for every X of at
+    most four points and of Phi(chain k), k = 3..5, and the co-unit
+    x |-> {down-sets omitting x} of those X."""
+    lattices = []
+    for n in range(1, 5):
+        for X in o.enumerate_posets(n):
+            E, ds = _downset_lattice(X)
+            assert _unit_images(ds, X.n) == brute_unit_images(ds, X.n)
+            lattices.append(E)
+    for k in (3, 4, 5):
+        lattices.append(o.relation_lattice(o.lattice_from_poset(o.chain(k)))[0])
+    for L in lattices:
+        masks = [I.members for I in o.prime_ideals(L)]
+        assert _unit_images(masks, L.n) == brute_unit_images(masks, L.n)
+
+
+def test_a_key_outside_the_carrier_is_an_internal_error():
+    assert _positions([4, 1], [1, 2, 4], "keys") == [2, 0]
+    with pytest.raises(InternalError, match="keys is not in its carrier"):
+        _positions([1, 3], [1, 2, 4], "keys")
+    # e_hom on a map it did not check: reversing chain 2 pulls the down-set
+    # {0} back to {1}, which is no down-set
+    C = o.chain(2)
+    with pytest.raises(InternalError, match="not in its carrier"):
+        _e_hom((1, 0), _downset_lattice(C), _downset_lattice(C))
+
+
+def test_certify_refuses_what_is_not_an_order_isomorphism():
+    C, A = o.chain(2), o.antichain(2)
+    assert _certified(C, C, ["a", "b"], ["a", "b"], "map").forward == (0, 1)
+    for P, Q, keys in [
+        (C, C, ["b", "a"]),  # a bijection that reverses the order
+        (C, A, ["a", "b"]),  # a bijection that is not onto an isomorphic Q
+        (C, C, ["a", "a"]),  # not a bijection
+    ]:
+        with pytest.raises(InternalError, match="map failed"):
+            _certified(P, Q, keys, ["a", "b"], "map")
+    # a carrier longer than the keys cannot be matched one to one
+    with pytest.raises(InternalError, match="map failed"):
+        _certified(o.chain(1), o.chain(1), ["b"], ["a", "b"], "map")

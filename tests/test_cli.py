@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -373,6 +374,19 @@ def test_dot_hasse_edge_counts(capsys):
         code, out, _ = run(capsys, "dot", fx(fixture))
         assert code == 0
         assert out.count("->") == edges
+
+
+def test_dot_labels_keep_backslashes_and_quotes(tmp_path, capsys):
+    labels = ["a\\", 'say "hi" \\"']
+    path = tmp_path / "doc.json"
+    doc = docio.poset_to_document(o.poset_new(2, [(0, 1)], labels))
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "dot", str(path))
+    assert code == 0
+    # a DOT quoted string ends at the first unescaped quote; \\ and \" are
+    # its escapes
+    quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"', out)
+    assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels
 
 
 def test_dot_order_mode(capsys):

@@ -17,6 +17,7 @@ from oracles import (
     brute_enumerate_posets,
     brute_iso,
     brute_max_antichain,
+    brute_transpose,
     cover_dimension,
 )
 
@@ -83,11 +84,6 @@ def generating_pairs(draw):
     return n, pairs
 
 
-def transpose(rows):
-    n = len(rows)
-    return [sum(1 << i for i in range(n) if (rows[i] >> j) & 1) for j in range(n)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(generating_pairs())
 def test_closure_matches_warshall_oracle(case):
@@ -102,7 +98,7 @@ def test_closure_matches_warshall_oracle(case):
     assert list(P.up) == rows
     # poset_new primes the down-rows; they must be the transpose
     assert "down_masks" in P.__dict__
-    assert list(P.down_masks) == transpose(rows)
+    assert list(P.down_masks) == brute_transpose(rows, n)
 
 
 def random_relabelled_poset(rng, n, p):
