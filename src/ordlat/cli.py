@@ -27,9 +27,11 @@ from .duality import (
     _spectrum,
     prime_ideals,
 )
-from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE, enumerate_posets
+from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE
 from .relation import (
     FIXED_POINT_MODES,
+    _class_id,
+    _classes,
     _cube_shift,
     _image_witness,
     dimension_report,
@@ -277,15 +279,14 @@ def cmd_image(args) -> tuple[str, int]:
 def _suite_corollary(n_max: int, max_size: int) -> tuple[dict, int]:
     checked = 0
     failures = []
-    for size in range(1, n_max + 1):
-        for idx, P in enumerate(enumerate_posets(size)):
-            try:
-                L = lattice_from_poset(P)
-            except OrdlatError:
-                continue
-            checked += 1
-            if not verify_relation_primes(L, max_size=max_size):
-                failures.append(f"n{size}#{idx:03d}")
+    for size, idx, P in _classes(n_max):
+        try:
+            L = lattice_from_poset(P)
+        except OrdlatError:
+            continue
+        checked += 1
+        if not verify_relation_primes(L, max_size=max_size):
+            failures.append(_class_id(size, idx))
     result = {"checked": checked, "failures": failures,
               "all_pass": not failures}
     return result, 0 if not failures else 1
@@ -293,10 +294,9 @@ def _suite_corollary(n_max: int, max_size: int) -> tuple[dict, int]:
 
 def _suite_lemma51(n_max: int, max_size: int) -> tuple[dict, int]:
     checked = []
-    for size in range(1, n_max + 1):
-        for idx, X in enumerate(enumerate_posets(size)):
-            relation_downset_iso(X, max_size=max_size)
-            checked.append(f"n{size}#{idx:03d}")
+    for size, idx, X in _classes(n_max):
+        relation_downset_iso(X, max_size=max_size)
+        checked.append(_class_id(size, idx))
     return {"checked": checked, "all_pass": True}, 0
 
 
@@ -312,7 +312,7 @@ def _suite_shift(n_max: int, max_size: int) -> tuple[dict, int]:
     results = {}
     ok = True
     for n in range(0, min(n_max, 3) + 1):
-        passed, pairs = _cube_shift(n)
+        passed, pairs = _cube_shift(n, max_size)
         results[str(n)] = {"pass": passed, "comparable_pairs": pairs}
         ok = ok and passed
     return {"cases": results, "all_pass": ok}, 0 if ok else 1

@@ -240,12 +240,9 @@ def _certified(P: Poset, Q: Poset, keys, carrier, what: str) -> IsoWitness:
     """The map sending i to the position of keys[i] in carrier, certified
     as an order isomorphism P -> Q; a failure raises ``InternalError``
     naming what the map is."""
-    forward = _positions(keys, carrier, what)
-    # from_forward needs every position below len(forward)
-    if len(carrier) == len(forward):
-        w = IsoWitness.from_forward(forward)
-        if w.validate(P, Q):
-            return w
+    w = IsoWitness.from_forward(_positions(keys, carrier, what))
+    if w.validate(P, Q):
+        return w
     raise InternalError(f"{what} failed to be an order isomorphism")
 
 

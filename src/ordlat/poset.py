@@ -109,7 +109,7 @@ class Poset:
         return self.up[i] & ~(1 << i)
 
     def relation_count(self) -> int:
-        return sum(_popcount(row) for row in self.up)
+        return sum(map(int.bit_count, self.up))
 
     def pairs(self) -> list[tuple[int, int]]:
         """All related pairs (i, j) with i <= j, in lexicographic order."""
@@ -186,10 +186,13 @@ class IsoWitness:
 
     @classmethod
     def from_forward(cls, forward) -> "IsoWitness":
+        """A position outside range(len(forward)) is left out of
+        ``backward``; ``validate`` refuses the witness."""
         forward = tuple(forward)
         backward = [0] * len(forward)
         for i, j in enumerate(forward):
-            backward[j] = i
+            if 0 <= j < len(forward):
+                backward[j] = i
         return cls(forward, tuple(backward))
 
     def validate(self, P: Poset, Q: Poset) -> bool:
@@ -494,23 +497,29 @@ def order_dimension(P: Poset, cap: int = DEFAULT_DIMENSION_CAP) -> int:
 
 
 def is_isomorphic(P: Poset, Q: Poset) -> IsoWitness | None:
-    """First order isomorphism in lexicographic search order, or None.
-
-    Backtracks over the images of 0..n-1 with an explicit stack, so it needs
-    no recursion depth.  Element i may go only to an element of Q with its
-    (down-size, up-size) profile.  At depth i, i's up- and down-rows among
-    0..i-1 are mapped through the images placed so far, once; a candidate c
-    fits iff Q's rows of c, cut to those images, are the mapped rows.  An
-    image already used never fits, since it would be both above and below
-    i.  Deterministic.
-    """
-    n = P.n
-    if Q.n != n or P.iso_invariant != Q.iso_invariant:
+    """First order isomorphism in lexicographic search order, or None;
+    element i may go only to an element of Q with its (down-size, up-size)
+    profile."""
+    if Q.n != P.n or P.iso_invariant != Q.iso_invariant:
         return None
     slots: dict[int, list[int]] = {}
     for c, prof in enumerate(Q.iso_profile):
         slots.setdefault(prof, []).append(c)
-    cands = [slots[prof] for prof in P.iso_profile]
+    return _extend(P, Q, [slots[prof] for prof in P.iso_profile])
+
+
+def _extend(P: Poset, Q: Poset, cands) -> IsoWitness | None:
+    """First order isomorphism P -> Q that sends each i into the list
+    ``cands[i]``, in lexicographic search order, or None; P and Q must have
+    the same size.
+
+    Backtracks over the images of 0..n-1 with an explicit stack, so it needs
+    no recursion depth.  At depth i, i's up- and down-rows among 0..i-1 are
+    mapped through the images placed so far, once; a candidate c fits iff
+    Q's rows of c, cut to those images, are the mapped rows.  An image
+    already used never fits, since it would be both above and below i.
+    """
+    n = P.n
     p_up, p_down = P.up, P.down_masks
     q_up, q_down = Q.up, Q.down_masks
     forward = [0] * n

@@ -34,6 +34,7 @@ from .poset import (
     IsoWitness,
     Poset,
     _bits,
+    _extend,
     _popcount,
     _pullback,
     chain,
@@ -55,10 +56,10 @@ def relation_poset(
 ) -> tuple[Poset, PairMap]:
     """The related pairs (a, b), a <= b, of P as a poset under the
     coordinatewise order; pairs indexed lexicographically."""
-    prs = P.pairs()
-    m = len(prs)
+    m = P.relation_count()
     if m > max_size:
         raise CapExceeded(f"relation poset has {m} elements, cap {max_size}")
+    prs = P.pairs()
     # first[c] / second[d]: the pairs whose first / second component is c / d
     first = [0] * P.n
     second = [0] * P.n
@@ -228,12 +229,8 @@ class FactorWitness:
 
     def assembled(self, P: Poset) -> IsoWitness:
         """Order isomorphism factor x 2 -> P ((y,0) to block, (y,1) on top)."""
-        belems = list(_bits(self.block))
-        forward = [0] * P.n
-        for t, b in enumerate(belems):
-            forward[2 * t] = b
-            forward[2 * t + 1] = self.pairing[t]
-        return IsoWitness.from_forward(forward)
+        pairs = zip(_bits(self.block), self.pairing)
+        return IsoWitness.from_forward([v for pair in pairs for v in pair])
 
     def validate(self, P: Poset) -> bool:
         if _popcount(self.block) * 2 != P.n:
@@ -245,51 +242,33 @@ def factor_by_two(P: Poset) -> FactorWitness | None:
     """First factorization of P as (down-set half) x 2 in deterministic
     search order, or None.
 
-    Candidate bottom halves are down-sets of size n/2; partners are chosen
-    by backtracking so that the top half is an isomorphic copy and relations
-    across the two halves mirror relations inside the bottom half.
+    Candidate bottom halves B are down-sets of size n/2, with Y the subposet
+    on B.  Unless Y x 2 and P differ in sorted profile, ``_extend`` searches
+    for an isomorphism Y x 2 -> P sending (y, 0) to y and (y, 1) to a
+    partner above y outside B.
     """
     n = P.n
     if n == 0 or n % 2:
         return None
-    half = n // 2
+    base = n + 1  # packed as in Poset.iso_profile
+    down = P.down_masks
     for B in down_sets(P):
-        if _popcount(B) != half:
+        if _popcount(B) != n // 2:
             continue
         belems = list(_bits(B))
-        celems = list(_bits(P.full_mask & ~B))
-        partner = [-1] * half
-        used = [False] * half
-
-        def rec(t: int) -> bool:
-            if t == half:
-                return True
-            b = belems[t]
-            for ci, c in enumerate(celems):
-                if used[ci]:
-                    continue
-                if not P.leq(b, c):  # each element sits below its partner
-                    continue
-                ok = True
-                for s in range(t):
-                    b2, c2 = belems[s], partner[s]
-                    if P.leq(b, b2) != P.leq(c, c2) or P.leq(b2, b) != P.leq(c2, c):
-                        ok = False
-                        break
-                    # cross relations must mirror bottom-half relations
-                    if P.leq(b, c2) != P.leq(b, b2) or P.leq(b2, c) != P.leq(b2, b):
-                        ok = False
-                        break
-                if ok:
-                    partner[t] = c
-                    used[ci] = True
-                    if rec(t + 1):
-                        return True
-                    used[ci] = False
-            return False
-
-        if rec(0):
-            w = FactorWitness(B, tuple(partner), P.induced(belems))
+        # in Y x 2, (y, 0) has y's down-set once and its up-set twice, and
+        # (y, 1) the reverse; B is a down-set, so y's down-set is b's in P
+        profile = []
+        for b in belems:
+            d, u = _popcount(down[b]), _popcount(P.up[b] & B)
+            profile += (d * base + 2 * u, 2 * d * base + u)
+        if tuple(sorted(profile)) != P.iso_invariant:
+            continue
+        Y = P.induced(belems)
+        cands = [c for b in belems for c in ([b], list(_bits(P.up[b] & ~B)))]
+        iso = _extend(product(Y, chain(2), n), P, cands)
+        if iso is not None:
+            w = FactorWitness(B, iso.forward[1::2], Y)
             if not w.validate(P):
                 raise InternalError("factor witness failed assembled check")
             return w
@@ -340,6 +319,24 @@ class FixedPointReport:
 FIXED_POINT_MODES = ("posets", "lattices", "connected_posets")
 
 
+def _classes(n_max: int):
+    """(size, idx, P) for P the idx-th class of ``enumerate_posets(size)``,
+    size = 1..n_max.  An n_max past the enumeration cap is refused here,
+    before any class is built."""
+    if n_max > ENUMERATION_CAP:
+        raise CapExceeded(f"poset enumeration capped at n = {ENUMERATION_CAP}")
+    return (
+        (size, idx, P)
+        for size in range(1, n_max + 1)
+        for idx, P in enumerate(enumerate_posets(size))
+    )
+
+
+def _class_id(size: int, idx: int) -> str:
+    """Report id of a class, formatted only where a report names it."""
+    return f"n{size}#{idx:03d}"
+
+
 def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
     """Exhaustively scan isomorphism classes up to n_max for structures
     isomorphic to their own relation poset.
@@ -350,28 +347,25 @@ def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
     """
     if mode not in FIXED_POINT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if n_max > ENUMERATION_CAP:
-        raise CapExceeded(f"fixed-point scan capped at n = {ENUMERATION_CAP}")
     hits = []
     hit_posets = []
-    for size in range(1, n_max + 1):
-        for idx, P in enumerate(enumerate_posets(size)):
-            # |Phi(P)| is the number of related pairs, so P can only be a
-            # fixed point when its sole related pairs are the diagonal ones;
-            # the mode's own test runs on those few
-            if P.relation_count() != P.n:
+    for size, idx, P in _classes(n_max):
+        # |Phi(P)| is the number of related pairs, so P can only be a fixed
+        # point when its sole related pairs are the diagonal ones; the
+        # mode's own test runs on those few
+        if P.relation_count() != P.n:
+            continue
+        if mode == "lattices":
+            try:
+                lattice_from_poset(P)
+            except OrdlatError:
                 continue
-            if mode == "lattices":
-                try:
-                    lattice_from_poset(P)
-                except OrdlatError:
-                    continue
-            if mode == "connected_posets" and not is_connected(P):
-                continue
-            RP, _ = relation_poset(P)
-            if is_isomorphic(RP, P) is not None:
-                hits.append(f"n{size}#{idx:03d}")
-                hit_posets.append(P)
+        if mode == "connected_posets" and not is_connected(P):
+            continue
+        RP, _ = relation_poset(P)
+        if is_isomorphic(RP, P) is not None:
+            hits.append(_class_id(size, idx))
+            hit_posets.append(P)
     if mode == "posets":
         ok = len(hits) == n_max and all(P.is_antichain() for P in hit_posets)
         expectation = "fixed points are exactly the antichains"
@@ -390,25 +384,23 @@ def cube_shift_check(n: int) -> bool:
     """Finite shadow of the shift self-similarity of the infinite cube:
     the relation lattice of the n-cube's down-set lattice is isomorphic to
     the (n+1)-cube's down-set lattice, via an explicit composed witness."""
-    return _cube_shift(n)[0]
+    return _cube_shift(n, DEFAULT_MAX_SIZE)[0]
 
 
-def _cube_shift(n: int) -> tuple[bool, int]:
+def _cube_shift(n: int, max_size: int) -> tuple[bool, int]:
     """``cube_shift_check(n)`` and the size of the relation lattice it
     built, the number of comparable pairs of the n-cube's down-sets."""
-    if n > 3:
-        raise CapExceeded("shift check capped at n = 3")
-    X = cube(n)
-    E1, ds = _downset_lattice(X)
-    Phi1, prs = relation_lattice(E1)
-    X1 = cube(n + 1)
-    prod = product(X, chain(2))
-    E2 = _downset_lattice(prod)
+    X = cube(n, max_size)
+    E1, ds = _downset_lattice(X, max_size)
+    Phi1, prs = relation_lattice(E1, max_size)
+    X1 = cube(n + 1, max_size)
+    prod = product(X, chain(2), max_size)
+    E2 = _downset_lattice(prod, max_size)
     w_layers = _layer_iso(ds, Phi1, prs, E2)  # Phi1 -> E(X x 2)
     # drop coordinate 0 into the extra factor: y -> (shift(y), y(0))
     shuffle = [((i >> 1) * 2) + (i & 1) for i in range(X1.n)]
     g = _order_preserving(X1, prod, shuffle)
-    hom = _e_hom(g, _downset_lattice(X1), E2)  # E(X x 2) -> E(cube(n+1))
+    hom = _e_hom(g, _downset_lattice(X1, max_size), E2)  # E(X x 2) -> E(X1)
     forward = [hom.mapping[w_layers.forward[k]] for k in range(Phi1.n)]
     w = IsoWitness.from_forward(forward)
     return w.validate(Phi1.order, hom.target.order), Phi1.n
@@ -425,27 +417,27 @@ def dimension_report(
     so dim P <= dim Phi(P) <= 2 dim P; a row breaking this raises
     InternalError.
     """
+    classes = _classes(n_max)  # the enumeration cap is refused first
     if n_max > 6:
         raise CapExceeded("dimension report capped at n_max = 6")
     rows = []
-    for size in range(1, n_max + 1):
-        for idx, P in enumerate(enumerate_posets(size)):
-            RP, _ = relation_poset(P)
-            dim_p = order_dimension(P, cap=dim_cap) if P.n <= dim_cap else None
-            dim_rp = order_dimension(RP, cap=dim_cap) if RP.n <= dim_cap else None
-            if None not in (dim_p, dim_rp) and not dim_p <= dim_rp <= 2 * dim_p:
-                raise InternalError(
-                    f"dim {dim_p} and dim_rel {dim_rp} of n{size}#{idx:03d} "
-                    "break dim P <= dim Phi(P) <= 2 dim P"
-                )
-            rows.append(
-                {
-                    "id": f"n{size}#{idx:03d}",
-                    "size": P.n,
-                    "dim": dim_p if dim_p is not None else "SKIPPED",
-                    "dim_rel": dim_rp if dim_rp is not None else "SKIPPED",
-                    "width": width(P),
-                    "width_rel": width(RP),
-                }
+    for size, idx, P in classes:
+        RP, _ = relation_poset(P)
+        dim_p = order_dimension(P, cap=dim_cap) if P.n <= dim_cap else None
+        dim_rp = order_dimension(RP, cap=dim_cap) if RP.n <= dim_cap else None
+        if None not in (dim_p, dim_rp) and not dim_p <= dim_rp <= 2 * dim_p:
+            raise InternalError(
+                f"dim {dim_p} and dim_rel {dim_rp} of {_class_id(size, idx)} "
+                "break dim P <= dim Phi(P) <= 2 dim P"
             )
+        rows.append(
+            {
+                "id": _class_id(size, idx),
+                "size": P.n,
+                "dim": dim_p if dim_p is not None else "SKIPPED",
+                "dim_rel": dim_rp if dim_rp is not None else "SKIPPED",
+                "width": width(P),
+                "width_rel": width(RP),
+            }
+        )
     return rows

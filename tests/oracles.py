@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own algorithms: the
 closure of generating pairs by Warshall's triple loop, covers, relation rows
 and lattice bounds on the definitions, antichains by subset search,
-isomorphism and the canonical key by trying every bijection, isomorphism
+isomorphism and the canonical key by trying every bijection, factorizations
+by two by a partner search that tests every placed pair, isomorphism
 witnesses, order-preserving maps and preimages by looping over every pair
 or point, transposes and unit images by testing every bit, dimension by
 combining raw linear extensions or by a set cover over them, down-sets and
@@ -147,6 +148,50 @@ def brute_iso_valid(w, P, Q):
         for i in range(n)
         for j in range(n)
     )
+
+
+def partner_factor_by_two(P, blocks):
+    """The first (block, pairing, factor) with P isomorphic to factor x 2,
+    or None: for each block of n/2 points in the given order (down-sets of
+    P), partners above the block's elements are placed by a recursive
+    search that tests every placed pair with ``leq``, so that the top half
+    is an isomorphic copy and cross relations mirror the bottom half."""
+    n = P.n
+    if n == 0 or n % 2:
+        return None
+    half = n // 2
+    for B in blocks:
+        belems = [x for x in range(n) if (B >> x) & 1]
+        if len(belems) != half:
+            continue
+        celems = [x for x in range(n) if not (B >> x) & 1]
+        partner = [-1] * half
+        used = [False] * half
+
+        def rec(t):
+            if t == half:
+                return True
+            b = belems[t]
+            for ci, c in enumerate(celems):
+                if used[ci] or not P.leq(b, c):
+                    continue
+                if all(
+                    P.leq(b, b2) == P.leq(c, c2)
+                    and P.leq(b2, b) == P.leq(c2, c)
+                    and P.leq(b, c2) == P.leq(b, b2)
+                    and P.leq(b2, c) == P.leq(b2, b)
+                    for b2, c2 in zip(belems[:t], partner)
+                ):
+                    partner[t] = c
+                    used[ci] = True
+                    if rec(t + 1):
+                        return True
+                    used[ci] = False
+            return False
+
+        if rec(0):
+            return B, tuple(partner), P.induced(belems)
+    return None
 
 
 def brute_first_order_violation(X, Y, g):

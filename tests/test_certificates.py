@@ -212,6 +212,16 @@ def test_a_key_outside_the_carrier_is_an_internal_error():
         _e_hom((1, 0), _downset_lattice(C), _downset_lattice(C))
 
 
+def test_from_forward_leaves_out_of_range_positions_to_validate():
+    C = o.chain(2)
+    for forward, backward in [((0, 5), (0, 0)), ((0, -1), (0, 0)),
+                              ((2, 1), (0, 1))]:
+        w = IsoWitness.from_forward(forward)
+        assert (w.forward, w.backward) == (forward, backward)
+        assert not w.validate(C, C)
+        assert not brute_iso_valid(w, C, C)
+
+
 def test_certify_refuses_what_is_not_an_order_isomorphism():
     C, A = o.chain(2), o.antichain(2)
     assert _certified(C, C, ["a", "b"], ["a", "b"], "map").forward == (0, 1)

@@ -407,6 +407,30 @@ def test_experiments_suites_run(capsys):
         assert json.loads(out)["result"]["all_pass"] is True
 
 
+@pytest.mark.parametrize("suite", ["corollary", "lemma51", "fixedpoints",
+                                   "dimtable"])
+def test_experiments_refuse_past_the_enumeration_cap_up_front(
+    capsys, monkeypatch, suite
+):
+    from ordlat import poset
+
+    def no_classes(n):
+        raise AssertionError(f"classes of {n} points built past the cap")
+
+    monkeypatch.setattr(poset, "_enumerate_cached", no_classes)
+    code, out, err = run(capsys, "experiments", suite, "--n-max", "8")
+    assert (code, out) == (1, "")
+    assert err == "error: CapExceeded: poset enumeration capped at n = 7\n"
+
+
+def test_experiments_shift_obeys_max_size(capsys):
+    code, out, err = run(
+        capsys, "--max-size", "5", "experiments", "shift", "--n-max", "3"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: CapExceeded: relation poset has 6 elements, cap 5\n"
+
+
 def test_experiments_shift_builds_each_downset_lattice_once(capsys, monkeypatch):
     """The suite reads the comparable pairs of E(cube n) off the relation
     lattice the check builds: three down-set scans per case, none more."""

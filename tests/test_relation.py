@@ -10,6 +10,7 @@ from oracles import (
     brute_dimension,
     brute_iso,
     brute_relation_rows,
+    partner_factor_by_two,
 )
 
 
@@ -54,6 +55,24 @@ def test_relation_poset_size_is_pair_count():
             RP, _ = o.relation_poset(P)
             assert RP.n == P.relation_count()
             assert (RP.n == P.n) == P.is_antichain()
+
+
+def test_relation_poset_is_refused_before_its_pairs_are_listed(monkeypatch):
+    listed = []
+    real = o.Poset.pairs
+
+    def counted(P):
+        listed.append(P.n)
+        return real(P)
+
+    monkeypatch.setattr(o.Poset, "pairs", counted)
+    with pytest.raises(CapExceeded, match="relation poset has 524800 elements"):
+        o.relation_poset(o.chain(1024))
+    with pytest.raises(CapExceeded, match="relation poset has 6 elements, cap 5"):
+        o.relation_lattice(lat(o.chain(3)), max_size=5)
+    assert listed == []
+    assert o.relation_poset(o.chain(3), max_size=6)[0].n == 6
+    assert listed == [3]
 
 
 def test_relation_poset_matches_oracle():
@@ -236,6 +255,13 @@ def test_factor_by_two_examples():
     assert w.validate(o.cube(3))
 
 
+def test_factor_witness_with_a_short_pairing_does_not_validate():
+    w = o.factor_by_two(o.cube(2))
+    assert w.validate(o.cube(2))
+    short = dataclasses.replace(w, pairing=w.pairing[:-1])
+    assert not short.validate(o.cube(2))
+
+
 def test_factor_by_two_completeness_small():
     # agree with brute-force search for a half Y with Y x 2 isomorphic to P
     for n in (2, 4, 6):
@@ -248,6 +274,51 @@ def test_factor_by_two_completeness_small():
             assert (got is not None) == exists
             if got is not None:
                 assert got.validate(P)
+
+
+def random_poset(rng, n):
+    p = rng.uniform(0, 0.6)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return o.poset_new(n, pairs)
+
+
+def shuffled(rng, P):
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    return P.relabel(perm)
+
+
+def test_factor_by_two_is_the_partner_search(monkeypatch):
+    """The same (block, pairing, factor) as the per-pair partner search on
+    every class of 2, 4 and 6 points, on relabelled Y x 2 and random
+    posets of at most 14 points, and on the 86-point spectrum of
+    Phi(chain 44); the search reads rows, never ``leq``."""
+    rng = random.Random(13)
+    posets = [P for n in (2, 4, 6) for P in o.enumerate_posets(n)]
+    for _ in range(150):
+        Y = random_poset(rng, rng.randint(1, 7))
+        posets.append(shuffled(rng, o.product(Y, o.chain(2))))
+        posets.append(shuffled(rng, random_poset(rng, rng.randint(1, 14))))
+    PhiL, _ = o.relation_lattice(lat(o.chain(44)))
+    posets.append(o.spec(PhiL))
+    calls = []
+    real = o.Poset.leq
+
+    def counted(P, i, j):
+        calls.append((i, j))
+        return real(P, i, j)
+
+    monkeypatch.setattr(o.Poset, "leq", counted)
+    hits = 0
+    for P in posets:
+        w = o.factor_by_two(P)
+        assert calls == []
+        expect = partner_factor_by_two(P, o.down_sets(P))
+        calls.clear()
+        assert (None if w is None else (w.block, w.pairing, w.factor)) == expect
+        hits += w is not None
+    assert 150 <= hits < len(posets)
+    assert w.factor.n == 43
 
 
 def test_image_witness_examples():
