@@ -573,67 +573,96 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical encoding of P's relation matrix, and a permutation realizing
     it (``perm[i]`` = element placed at position i).
 
-    The encoding minimizes, level by level, the integer chunk of relation
-    bits each newly placed element contributes against all earlier ones;
-    minimizing greedily per level is exact for this lexicographic order.
-    Frontier prefixes with identical remainders are merged, which keeps
-    highly symmetric posets (antichains) polynomial.
+    The encoding is the least, over all orderings of P's elements, of the
+    chunk tuple: the i-th chunk has a base-4 digit for each earlier element,
+    in placement order, 2 if it is below the i-th, 1 if above, 0 if
+    incomparable.  ``perm`` is the least ordering that reaches it.  The
+    search keeps, level by level, every ordering with the least chunks so
+    far; minimizing greedily per level is exact for this lexicographic
+    order.
 
-    Each frontier prefix carries every element's code, its chunk against
-    the prefix so far, packed into one integer with a fixed-width field per
-    element.  Placing v shifts all the codes by two bits at once and ors in
-    a table row holding every element's two bits against v.  A candidate's
-    chunk is its code, and a prefix's remainder is the codes of its
-    unplaced elements, the other fields being cleared.  One pass per level
-    reads each candidate's code once, keeping the least and its ties.
+    Antichain start: a chunk is 0 exactly when its element is incomparable
+    to every earlier one, so the least key opens with w zero chunks, w the
+    width, and the orderings that reach them are those of the maximum
+    antichains.  These are grown from masks in index order, and no code is
+    read.
+
+    Cells: the orderings kept are held as states, each an ordered partition
+    of the placed elements into cells; the state stands for every ordering
+    that keeps the cells in order and orders each cell's members freely.
+    Each cell is an antichain, and all pairs drawn from two given cells
+    relate alike, so all those orderings have the same chunks: a chunk
+    repeats one digit over each earlier cell, then reads 0 for the members
+    of its own cell placed before it.  Over them, a candidate v's least
+    code writes each cell's digits sorted: 0s, then 1s for the members
+    above v, then 2s for those below.  Placing v keeps exactly the
+    orderings that reach that code: each cell splits into its 0-part and
+    then the rest, which is its 1- or its 2-part, as no member of an
+    antichain is below v and another above.  v joins the last cell when
+    it is incomparable to every member and relates to everything placed
+    before that cell as the members do, since then it may stand anywhere
+    in the cell; otherwise it opens a new one.  States with equal cells
+    are the same orderings and merge.
 
     Twins, distinct elements with the same strict up-set and the same
     strict down-set, are placed in index order: an element waits while a
     lower twin is unplaced.  Swapping two twins is an automorphism, so a
     permutation placing a twin before a lower one has the same chunks as
     the lexicographically smaller one with the two swapped.  The least
-    key-optimal permutation therefore places twins in order; every prefix
-    of it stays on the frontier, and the key and ``perm`` are exactly
-    those of the search without the rule.
+    key-optimal permutation therefore places twins in order, and each of
+    its prefixes lies in a kept state.  So ``perm`` is the least, over the
+    last states, of their cells read in order, each in ascending index
+    order.
     """
     n = P.n
     if n == 0:
         return (), ()
     up, down = P.up, P.down_masks
-    width = 2 * n  # bits per code field; a code gains two per placement
-    field = (1 << width) - 1
-    shift = [width * v for v in range(n)]
-    clear = [~(field << s) for s in shift]
-    # row[v]: each element u's bits against a placed v, (v <= u) then (u <= v)
-    row = []
-    for v in range(n):
-        r = 0
-        for u in _bits(up[v]):
-            r |= 2 << shift[u]
-        for u in _bits(down[v]):
-            r |= 1 << shift[u]
-        row.append(r)
+    # ones[k]: k digits of 1; a cell's sorted digits with b ones and c twos
+    # read ones[b + c] + ones[c]
+    ones = [((1 << 2 * k) - 1) // 3 for k in range(n + 1)]
     after = [0] * n  # the twin that becomes placeable once v is placed
     ready = 0
     for cls in _twin_classes(P):
         ready |= 1 << cls[0]
         for u, w in zip(cls, cls[1:]):
             after[u] = 1 << w
-    # frontier states (prefix, placeable elements, live fields, codes), in
-    # prefix order
-    frontier = [((), ready, (1 << (width * n)) - 1, 0)]
-    chunks = []
-    for _ in range(n):
-        best = field + 1  # above every code
-        ties = []  # (state, v) whose code is best, in frontier order
-        for state in frontier:
-            codes = state[3]
-            rest = state[1]
+    # antichains (members, placeable, addable), one size per level; v is
+    # addable when incomparable to every member and above the largest
+    level = [(0, ready, (1 << n) - 1)]
+    while True:
+        grown = []
+        for S, ready, free in level:
+            rest = free & ready
             while rest:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                code = (codes >> shift[v]) & field
+                grown.append((S | low, (ready ^ low) | after[v],
+                              free & ~(up[v] | down[v]) & -low))
+        if not grown:
+            break
+        level = grown
+    # states (cells, placed elements, placeable elements)
+    frontier = [((S,), S, ready) for S, ready, _ in level]
+    chunks = [0] * _popcount(level[0][0])
+    for k in range(len(chunks), n):
+        best = 1 << (2 * k)  # above every code of k digits
+        ties = []  # (state, v) whose code is best
+        for state in frontier:
+            cells = state[0]
+            rest = state[2]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                d = down[v]
+                ud = up[v] | d
+                code = 0
+                for C in cells:
+                    code = (code << 2 * C.bit_count()) | (
+                        ones[(C & ud).bit_count()] + ones[(C & d).bit_count()]
+                    )
                 if code < best:
                     best = code
                     ties = [(state, v)]
@@ -642,18 +671,32 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         chunks.append(best)
         seen = set()
         frontier = []
-        for (pre, ready, live, codes), v in ties:
-            live_v = live & clear[v]
-            codes_v = ((codes << 2) | row[v]) & live_v
-            if (live_v, codes_v) in seen:
-                continue
-            seen.add((live_v, codes_v))
-            frontier.append(
-                (pre + (v,), (ready ^ (1 << v)) | after[v], live_v, codes_v)
-            )
-    # no field is live after the last placement, so one state is left: the
-    # first, smallest prefix to reach the key
-    return tuple(chunks), frontier[0][0]
+        for (cells, placed, ready), v in ties:
+            u, d = up[v], down[v]
+            split = []
+            for C in cells:
+                related = C & (u | d)  # all above v or all below it
+                if C ^ related:
+                    split.append(C ^ related)
+                if related:
+                    split.append(related)
+            last = cells[-1]
+            x = (last & -last).bit_length() - 1  # any member speaks for all
+            before = placed ^ last
+            bit = 1 << v
+            same = not ((up[x] ^ u) | (down[x] ^ d)) & before
+            if same and not last & (u | d):
+                split[-1] |= bit
+            else:
+                split.append(bit)
+            split = tuple(split)
+            if split not in seen:
+                seen.add(split)
+                frontier.append((split, placed | bit, (ready ^ bit) | after[v]))
+    perm = min(
+        tuple(v for C in cells for v in _bits(C)) for cells, _, _ in frontier
+    )
+    return tuple(chunks), perm
 
 
 def _iso_invariant(P: Poset) -> tuple[int, ...]:

@@ -266,10 +266,13 @@ def factor_by_two(P: Poset) -> FactorWitness | None:
             continue
         Y = P.induced(belems)
         cands = [c for b in belems for c in ([b], list(_bits(P.up[b] & ~B)))]
-        iso = _extend(product(Y, chain(2), n), P, cands)
+        doubled = product(Y, chain(2), n)
+        iso = _extend(doubled, P, cands)
         if iso is not None:
+            # w.validate(P) on the Y x 2 already built; its block-size
+            # check holds, as B has n/2 elements
             w = FactorWitness(B, iso.forward[1::2], Y)
-            if not w.validate(P):
+            if not w.assembled(P).validate(doubled, P):
                 raise InternalError("factor witness failed assembled check")
             return w
     return None

@@ -3,16 +3,17 @@
 Everything here deliberately avoids the library's own algorithms: the
 closure of generating pairs by Warshall's triple loop, covers, relation rows
 and lattice bounds on the definitions, antichains by subset search,
-isomorphism and the canonical key by trying every bijection, factorizations
-by two by a partner search that tests every placed pair, isomorphism
-witnesses, order-preserving maps and preimages by looping over every pair
-or point, transposes and unit images by testing every bit, dimension by
-combining raw linear extensions or by a set cover over them, down-sets and
-prime ideals by filtering the power set, lattice tables by searching all
-bounds (and checked against all bounds), inclusion orders by comparing
-every two masks, distributivity by trying every triple, the poset axioms by
-looping over every pair and triple, and the enumeration of poset classes by
-keying every candidate with the all-orderings key.
+isomorphism and the canonical key by trying every bijection (the key also by
+a search over every least prefix, merging prefixes by their codes),
+factorizations by two by a partner search that tests every placed pair,
+isomorphism witnesses, order-preserving maps and preimages by looping over
+every pair or point, transposes and unit images by testing every bit,
+dimension by combining raw linear extensions or by a set cover over them,
+down-sets and prime ideals by filtering the power set, lattice tables by
+searching all bounds (and checked against all bounds), inclusion orders by
+comparing every two masks, distributivity by trying every triple, the poset
+axioms by looping over every pair and triple, and the enumeration of poset
+classes by keying every candidate with the all-orderings key.
 """
 
 from itertools import combinations, permutations, product
@@ -240,15 +241,82 @@ def brute_canonical_key(P):
     earlier element in order, and the least ordering that reaches it."""
     best = None
     for perm in permutations(range(P.n)):
-        key = []
-        for i, v in enumerate(perm):
-            c = 0
-            for p in perm[:i]:
-                c = (c << 2) | (P.leq(p, v) << 1) | P.leq(v, p)
-            key.append(c)
-        if best is None or tuple(key) < best[0]:
-            best = (tuple(key), perm)
+        key = ordering_chunks(P, perm)
+        if best is None or key < best[0]:
+            best = (key, perm)
     return best
+
+
+def ordering_chunks(P, perm):
+    """The chunk tuple of the ordering ``perm`` of P's elements: the i-th
+    chunk packs two bits (earlier <= new, new <= earlier) against each
+    earlier element in order."""
+    key = []
+    for i, v in enumerate(perm):
+        c = 0
+        for p in perm[:i]:
+            c = (c << 2) | (P.leq(p, v) << 1) | P.leq(v, p)
+        key.append(c)
+    return tuple(key)
+
+
+def frontier_canonical_key(P):
+    """``brute_canonical_key`` by a prefix-frontier search, for posets past
+    the reach of trying every ordering.
+
+    Level by level it keeps every prefix with the least chunks so far,
+    merging prefixes that leave the same elements with the same codes (the
+    first in prefix order stays).  A prefix carries every element's code
+    against it in one integer, a 2n-bit field per element: placing v
+    shifts all the codes by two bits and ors in each element's two bits
+    against v.  Twins, elements with the same strict up- and down-sets,
+    are placed in index order; swapping two is an automorphism, so the
+    least ordering that reaches the key does so too."""
+    n = P.n
+    if n == 0:
+        return (), ()
+    below = [[u for u in range(n) if P.leq(u, v)] for v in range(n)]
+    above = [[u for u in range(n) if P.leq(v, u)] for v in range(n)]
+    width = 2 * n
+    field = (1 << width) - 1
+    row = []  # each element u's bits against a placed v: (v <= u), (u <= v)
+    for v in range(n):
+        row.append(sum(2 << (width * u) for u in above[v])
+                   | sum(1 << (width * u) for u in below[v]))
+    twins = {}
+    for v in range(n):
+        strict = (frozenset(above[v]) - {v}, frozenset(below[v]) - {v})
+        twins.setdefault(strict, []).append(v)
+    after = [0] * n  # the twin that becomes placeable once v is placed
+    ready = 0
+    for cls in twins.values():
+        ready |= 1 << cls[0]
+        for u, w in zip(cls, cls[1:]):
+            after[u] = 1 << w
+    # states (prefix, placeable elements, live fields, codes), in prefix order
+    frontier = [((), ready, (1 << (width * n)) - 1, 0)]
+    chunks = []
+    for _ in range(n):
+        best, ties = field + 1, []
+        for state in frontier:
+            for v in range(n):
+                if (state[1] >> v) & 1:
+                    code = (state[3] >> (width * v)) & field
+                    if code < best:
+                        best, ties = code, [(state, v)]
+                    elif code == best:
+                        ties.append((state, v))
+        chunks.append(best)
+        seen, frontier = set(), []
+        for (pre, ready, live, codes), v in ties:
+            live_v = live & ~(field << (width * v))
+            codes_v = ((codes << 2) | row[v]) & live_v
+            if (live_v, codes_v) not in seen:
+                seen.add((live_v, codes_v))
+                frontier.append(
+                    (pre + (v,), (ready ^ (1 << v)) | after[v], live_v, codes_v)
+                )
+    return tuple(chunks), frontier[0][0]
 
 
 def brute_linear_extensions(P):

@@ -19,6 +19,8 @@ from oracles import (
     brute_max_antichain,
     brute_transpose,
     cover_dimension,
+    frontier_canonical_key,
+    ordering_chunks,
 )
 
 # frozen class counts for posets up to isomorphism, n = 1..7 (OEIS A000112)
@@ -493,6 +495,46 @@ def test_canonical_key_matches_recorded_digest_at_seven():
         keys.append(o.canonical_key(P.relabel(perm)))
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == CANONICAL_KEY_SHA256_7
+
+
+def relabelled(rng, P):
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    return P.relabel(perm)
+
+
+def grid(a, b):
+    return o.product(o.chain(a), o.chain(b))
+
+
+def test_canonical_key_matches_frontier_oracle():
+    """The same key and permutation as the prefix-frontier search on seeded
+    random posets of 8-12 points and on symmetric posets, each relabelled;
+    the brute-force oracle stops at 6 points."""
+    rng = random.Random(14)
+    posets = [o.cube(4), grid(4, 4), grid(5, 5), grid(6, 6),
+              o.product(o.antichain(6), o.chain(2)),
+              o.product(o.antichain(4), o.chain(3))]
+    for _ in range(300):
+        n, p = rng.randint(8, 12), rng.uniform(0, 0.5)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        posets.append(o.poset_new(n, pairs))
+    for P in posets:
+        Q = relabelled(rng, P)
+        assert o.canonical_key(Q) == frontier_canonical_key(Q)
+
+
+def test_canonical_key_past_the_oracles():
+    """On cube 5 (32 elements) and antichain 7 x chain 2, where the
+    frontier oracle is too slow: a relabelling keeps the key, and the
+    returned permutation realizes it."""
+    rng = random.Random(32)
+    for P in (o.cube(5), o.product(o.antichain(7), o.chain(2))):
+        Q = relabelled(rng, P)
+        key, perm = o.canonical_key(Q)
+        assert key == o.canonical_key(P)[0]
+        assert ordering_chunks(Q, perm) == key
 
 
 @st.composite

@@ -321,6 +321,40 @@ def test_factor_by_two_is_the_partner_search(monkeypatch):
     assert w.factor.n == 43
 
 
+def test_factor_by_two_builds_each_product_once(monkeypatch):
+    """Every half that reaches the isomorphism search builds Y x 2 once: the
+    accepted half's witness is certified against the product the search
+    ran on, not a rebuilt one."""
+    rng = random.Random(29)
+    posets = list(o.enumerate_posets(4)) + [o.cube(3), o.cube(4)]
+    for _ in range(30):
+        Y = random_poset(rng, rng.randint(1, 6))
+        posets.append(shuffled(rng, o.product(Y, o.chain(2))))
+    built, searched = [], []
+    real_product, real_extend = relation.product, relation._extend
+
+    def counted_product(*args):
+        built.append(args)
+        return real_product(*args)
+
+    def counted_extend(*args):
+        searched.append(args)
+        return real_extend(*args)
+
+    monkeypatch.setattr(relation, "product", counted_product)
+    monkeypatch.setattr(relation, "_extend", counted_extend)
+    hits = 0
+    for P in posets:
+        built.clear()
+        searched.clear()
+        w = o.factor_by_two(P)
+        assert len(built) == len(searched)
+        if w is not None:
+            hits += 1
+            assert built and w.validate(P)
+    assert hits >= 32
+
+
 def test_image_witness_examples():
     K, w = o.relation_image_witness(lat(o.chain(3)))
     assert K.n == 2
