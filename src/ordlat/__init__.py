@@ -46,9 +46,6 @@ from .duality import (
     SpectrumMap,
     clopen_downset_lattice,
     e_hom,
-    is_filter,
-    is_ideal,
-    is_prime_ideal,
     prime_ideals,
     spec,
     spec_hom,

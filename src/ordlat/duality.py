@@ -35,7 +35,7 @@ class PrimeIdeal:
         return list(_bits(self.members))
 
     def validate(self) -> bool:
-        """``is_prime_ideal`` by row lookup: in a finite distributive lattice
+        """Primality by row lookup: in a finite distributive lattice
         a subset is a prime ideal iff its complement is the up-row of a
         join-irreducible (Birkhoff), which costs O(n) rows, not O(n^3)."""
         P = self.lattice.order
@@ -43,50 +43,6 @@ class PrimeIdeal:
             return False
         outside = P.full_mask & ~self.members
         return any(P.up[j] == outside for j in _join_irreducibles(P))
-
-
-def is_ideal(L: DistLattice, mask: int) -> bool:
-    """Nonempty down-set closed under binary join."""
-    if mask == 0:
-        return False
-    for a in _bits(mask):
-        # down-set: everything below a is in
-        for x in range(L.n):
-            if L.leq(x, a) and not (mask >> x) & 1:
-                return False
-    for a in _bits(mask):
-        for b in _bits(mask):
-            if not (mask >> L.join[a][b]) & 1:
-                return False
-    return True
-
-
-def is_filter(L: DistLattice, mask: int) -> bool:
-    """Nonempty up-set closed under binary meet."""
-    if mask == 0:
-        return False
-    for a in _bits(mask):
-        for x in range(L.n):
-            if L.leq(a, x) and not (mask >> x) & 1:
-                return False
-    for a in _bits(mask):
-        for b in _bits(mask):
-            if not (mask >> L.meet[a][b]) & 1:
-                return False
-    return True
-
-
-def is_prime_ideal(L: DistLattice, mask: int) -> bool:
-    """Proper ideal whose complement is closed under meet."""
-    full = L.order.full_mask
-    if mask == full or not is_ideal(L, mask):
-        return False
-    outside = full & ~mask
-    for a in _bits(outside):
-        for b in _bits(outside):
-            if (mask >> L.meet[a][b]) & 1:
-                return False
-    return True
 
 
 def prime_ideals(L: DistLattice) -> list[PrimeIdeal]:

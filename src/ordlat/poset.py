@@ -7,7 +7,7 @@ these masks, so the n <= ~20 regime stays fast in pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -30,10 +30,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def _pullback(g, width: int):
@@ -87,11 +83,11 @@ class Poset:
     def iso_profile(self) -> tuple[int, ...]:
         """iso_profile[i] is the pair (|down-set of i|, |up-set of i|)
         packed as down * (n + 1) + up, which keeps pairs' equality and
-        order.  Packed, a profile cached on every enumerated class costs one
-        tuple: up to n = 15 its entries are CPython's shared small ints."""
+        order.  Packed, a cached profile costs one tuple: up to n = 15 its
+        entries are CPython's shared small ints."""
         base = self.n + 1
         return tuple(
-            _popcount(d) * base + _popcount(u)
+            d.bit_count() * base + u.bit_count()
             for d, u in zip(self.down_masks, self.up)
         )
 
@@ -210,12 +206,6 @@ class IsoWitness:
 
     def inverse(self) -> "IsoWitness":
         return IsoWitness(self.backward, self.forward)
-
-    def then(self, other: "IsoWitness") -> "IsoWitness":
-        """Composite witness: self followed by other."""
-        return IsoWitness.from_forward(
-            tuple(other.forward[v] for v in self.forward)
-        )
 
 
 def poset_new(size: int, pairs, labels=None) -> Poset:
@@ -349,7 +339,7 @@ def down_sets(P: Poset, max_count: int = DEFAULT_DOWNSET_COUNT_CAP) -> list[int]
     2 * max_count masks: it is refused as soon as it passes max_count.
     """
     down = P.down_masks
-    topo = sorted(range(P.n), key=lambda i: (_popcount(down[i]), i))
+    topo = sorted(range(P.n), key=lambda i: (down[i].bit_count(), i))
     result = [0]
     for x in topo:
         need = down[x] & ~(1 << x)
@@ -379,24 +369,37 @@ def is_connected(P: Poset) -> bool:
 
 def width(P: Poset) -> int:
     """Maximum antichain size, by minimum chain cover: n minus the maximum
-    matching of the bipartite split graph of strict comparabilities."""
+    matching of the bipartite split graph of strict comparabilities.
+
+    Each left vertex u in turn starts a depth-first search for an
+    augmenting path, kept on an explicit stack so that it needs no
+    recursion depth: ``path`` holds the left vertices from u and ``via``
+    the right vertex taken out of each; a left vertex tries its unseen
+    right vertices in ascending order."""
     n = P.n
     strict = [P.strict_up(i) for i in range(n)]
     match_to = [-1] * n  # right vertex -> matched left vertex
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in _bits(strict[u]):
-            if not seen[v]:
-                seen[v] = True
-                if match_to[v] == -1 or augment(match_to[v], seen):
-                    match_to[v] = u
-                    return True
-        return False
-
     matching = 0
     for u in range(n):
-        if augment(u, [False] * n):
-            matching += 1
+        seen = 0
+        path, via = [u], []
+        while path:
+            rest = strict[path[-1]] & ~seen
+            if not rest:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            low = rest & -rest
+            seen |= low
+            v = low.bit_length() - 1
+            via.append(v)
+            if match_to[v] == -1:
+                for left, right in zip(path, via):
+                    match_to[right] = left
+                matching += 1
+                break
+            path.append(match_to[v])
     return n - matching
 
 
@@ -486,7 +489,7 @@ def order_dimension(P: Poset, cap: int = DEFAULT_DIMENSION_CAP) -> int:
     meet = [P.full_mask] * P.n
     for _, down in classes:
         # x below y in the class leaves fewer elements below x than below y
-        rank = sorted(range(P.n), key=lambda x: (_popcount(down[x]), x))
+        rank = sorted(range(P.n), key=lambda x: (down[x].bit_count(), x))
         above = 0
         for x in reversed(rank):
             above |= 1 << x
@@ -645,7 +648,7 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         level = grown
     # states (cells, placed elements, placeable elements)
     frontier = [((S,), S, ready) for S, ready, _ in level]
-    chunks = [0] * _popcount(level[0][0])
+    chunks = [0] * level[0][0].bit_count()
     for k in range(len(chunks), n):
         best = 1 << (2 * k)  # above every code of k digits
         ties = []  # (state, v) whose code is best
@@ -699,12 +702,6 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(chunks), perm
 
 
-def _iso_invariant(P: Poset) -> tuple[int, ...]:
-    """The sorted (down-size, up-size) profile: equal for isomorphic posets,
-    and compared by ``is_isomorphic`` before it searches."""
-    return P.iso_invariant
-
-
 def _kept_down_sets(Q: Poset) -> list[int]:
     """The down-sets D of Q that the enumeration grows a new maximal element
     above: those that pass two rules, each of which drops a candidate only
@@ -725,7 +722,7 @@ def _kept_down_sets(Q: Poset) -> list[int]:
     over = [0] * (n + 1)  # over[k]: maximal x with |down x| > k + 1
     for x in range(n):
         if up[x] == 1 << x:
-            for k in range(_popcount(down[x]) - 1):
+            for k in range(down[x].bit_count() - 1):
                 over[k] |= 1 << x
     twins = 0  # members of twin classes of two or more
     prefixes = {0}  # the allowed values of D & twins
@@ -737,20 +734,19 @@ def _kept_down_sets(Q: Poset) -> list[int]:
     return [
         D
         for D in down_sets(Q)
-        if D & twins in prefixes and not over[_popcount(D)] & ~D
+        if D & twins in prefixes and not over[D.bit_count()] & ~D
     ]
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[Poset, ...]:
-    """The classes of ``enumerate_posets(n)``, each checked against the
-    poset axioms once, when it is built; n = 0 is the empty poset that
-    n = 1 grows from."""
+    """The classes of ``enumerate_posets(n)``, one per canonical key over
+    the kept candidates, each checked against the poset axioms once, when
+    it is built; n = 0 is the empty poset that n = 1 grows from."""
     if n == 0:
         return (Poset(0, (), ()),)
     labels = _default_labels(n)
     bit = 1 << (n - 1)
-    found: dict[tuple, list[Poset]] = {}  # invariant -> classes found so far
     out: dict[tuple, Poset] = {}
     for Q in _enumerate_cached(n - 1):
         for D in _kept_down_sets(Q):
@@ -760,17 +756,14 @@ def _enumerate_cached(n: int) -> tuple[Poset, ...]:
             cand = Poset(n, tuple(up), labels)
             # the new element is maximal: no old down-row gains it
             cand.__dict__["down_masks"] = Q.down_masks + (D | bit,)
-            bucket = found.setdefault(_iso_invariant(cand), [])
-            if any(is_isomorphic(cand, R) is not None for R in bucket):
-                continue
             key, perm = canonical_key(cand)
             if key not in out:
                 rep = Poset(n, cand.relabel(perm).up, labels)
-                # built with the class: the bucket's tests and every suite
-                # but the fixed-point scan read a class's down-rows
+                # built with the class: the next level's candidates extend
+                # its down-rows, and every suite but the fixed-point scan
+                # reads them
                 rep.down_masks
                 out[key] = rep
-            bucket.append(out[key])
     reps = tuple(out[k] for k in sorted(out))
     for P in reps:
         if not P.check_axioms():
@@ -785,12 +778,11 @@ def enumerate_posets(n: int) -> list[Poset]:
     Grown by attaching a maximal element above down-sets of each
     (n-1)-element class.  A candidate that the twin-orbit or
     canonical-parent rule of ``_kept_down_sets`` shows to be isomorphic to
-    a kept one is skipped before it is built.  Each kept candidate goes into
-    a bucket keyed by its sorted (down-size, up-size) profile, and is
-    dropped when ``is_isomorphic`` matches it to a class already found
-    there.  So ``canonical_key`` runs once per class, on the first candidate
-    of the class; the representative is that candidate relabelled into
-    canonical order, which depends only on the class."""
+    a kept one is skipped before it is built.  Every other candidate is
+    keyed by ``canonical_key``, which alone tells the classes apart: the
+    first candidate with a new key is relabelled into canonical order and
+    becomes the representative, which depends only on the class, since the
+    key fixes the relation matrix in that order."""
     if n < 1:
         raise ValueError("enumerate_posets needs n >= 1")
     if n > ENUMERATION_CAP:

@@ -35,7 +35,6 @@ from .poset import (
     Poset,
     _bits,
     _extend,
-    _popcount,
     _pullback,
     chain,
     cube,
@@ -233,7 +232,7 @@ class FactorWitness:
         return IsoWitness.from_forward([v for pair in pairs for v in pair])
 
     def validate(self, P: Poset) -> bool:
-        if _popcount(self.block) * 2 != P.n:
+        if self.block.bit_count() * 2 != P.n:
             return False
         return self.assembled(P).validate(product(self.factor, chain(2)), P)
 
@@ -253,14 +252,14 @@ def factor_by_two(P: Poset) -> FactorWitness | None:
     base = n + 1  # packed as in Poset.iso_profile
     down = P.down_masks
     for B in down_sets(P):
-        if _popcount(B) != n // 2:
+        if B.bit_count() != n // 2:
             continue
         belems = list(_bits(B))
         # in Y x 2, (y, 0) has y's down-set once and its up-set twice, and
         # (y, 1) the reverse; B is a down-set, so y's down-set is b's in P
         profile = []
         for b in belems:
-            d, u = _popcount(down[b]), _popcount(P.up[b] & B)
+            d, u = down[b].bit_count(), (P.up[b] & B).bit_count()
             profile += (d * base + 2 * u, 2 * d * base + u)
         if tuple(sorted(profile)) != P.iso_invariant:
             continue

@@ -9,7 +9,8 @@ factorizations by two by a partner search that tests every placed pair,
 isomorphism witnesses, order-preserving maps and preimages by looping over
 every pair or point, transposes and unit images by testing every bit,
 dimension by combining raw linear extensions or by a set cover over them,
-down-sets and prime ideals by filtering the power set, lattice tables by
+down-sets and prime ideals by filtering the power set, ideals, filters and
+prime ideals of a given mask on their definitions, lattice tables by
 searching all bounds (and checked against all bounds), inclusion orders by
 comparing every two masks, distributivity by trying every triple, the poset
 axioms by looping over every pair and triple, and the enumeration of poset
@@ -447,6 +448,39 @@ def brute_prime_ideals(L):
         ):
             out.append(mask)
     return out
+
+
+def is_ideal(L, mask):
+    """Nonempty down-set of L closed under binary join, on the
+    definition."""
+    members = [a for a in range(L.n) if (mask >> a) & 1]
+    return (
+        bool(members)
+        and all((mask >> x) & 1 for a in members for x in range(L.n)
+                if L.leq(x, a))
+        and all((mask >> L.join[a][b]) & 1 for a in members for b in members)
+    )
+
+
+def is_filter(L, mask):
+    """Nonempty up-set of L closed under binary meet, on the definition."""
+    members = [a for a in range(L.n) if (mask >> a) & 1]
+    return (
+        bool(members)
+        and all((mask >> x) & 1 for a in members for x in range(L.n)
+                if L.leq(a, x))
+        and all((mask >> L.meet[a][b]) & 1 for a in members for b in members)
+    )
+
+
+def is_prime_ideal(L, mask):
+    """Proper ideal of L whose complement is closed under meet."""
+    outside = [a for a in range(L.n) if not (mask >> a) & 1]
+    return (
+        bool(outside)
+        and is_ideal(L, mask)
+        and not any((mask >> L.meet[a][b]) & 1 for a in outside for b in outside)
+    )
 
 
 def brute_meet_join(P):

@@ -4,14 +4,15 @@ from hypothesis import strategies as st
 
 import ordlat as o
 from ordlat import DegenerateBounds, OrdlatError
-from ordlat.duality import (
-    _downset_lattice,
-    _inclusion_order,
+from ordlat.duality import _downset_lattice, _inclusion_order
+from oracles import (
+    brute_check_tables,
+    brute_inclusion_order,
+    brute_prime_ideals,
     is_filter,
     is_ideal,
     is_prime_ideal,
 )
-from oracles import brute_check_tables, brute_inclusion_order, brute_prime_ideals
 
 
 def lat(P):

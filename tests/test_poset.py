@@ -338,50 +338,25 @@ def cold_enumeration():
     o.poset._enumerate_cached.cache_clear()
 
 
-def test_enumeration_keys_each_class_once(cold_enumeration, monkeypatch):
+def test_enumeration_keys_each_candidate_once(cold_enumeration, monkeypatch):
+    # every kept candidate is keyed once, and the key alone tells the
+    # classes apart: 68, 350 and 2,333 candidates for 63, 318 and 2,045
+    # classes at n = 5, 6, 7
     keyed = [0] * 8
-    real_key, real_invariant = o.poset.canonical_key, o.poset._iso_invariant
+    real_key = o.poset.canonical_key
 
     def counted(P):
-        keyed[P.n] += 1
-        return real_key(P)
-
-    def primed(P):
         # every candidate arrives here with its down-rows set, not built
         down = P.__dict__["down_masks"]
         assert down == tuple(
             sum(1 << i for i in range(P.n) if P.leq(i, j)) for j in range(P.n)
         )
-        return real_invariant(P)
+        keyed[P.n] += 1
+        return real_key(P)
 
     monkeypatch.setattr(o.poset, "canonical_key", counted)
-    monkeypatch.setattr(o.poset, "_iso_invariant", primed)
     o.enumerate_posets(7)
-    assert keyed[1:] == POSET_COUNTS
-
-
-def test_enumeration_is_exact_under_a_constant_invariant(
-    cold_enumeration, monkeypatch
-):
-    # one bucket per level: every class but the first is told apart from
-    # the others by refuted isomorphism tests alone
-    refuted = []
-    real, real_invariant = o.poset.is_isomorphic, o.poset._iso_invariant
-
-    def counted(P, Q):
-        w = real(P, Q)
-        if w is None:
-            refuted.append((P, Q))
-        return w
-
-    monkeypatch.setattr(o.poset, "_iso_invariant", lambda P: ())
-    monkeypatch.setattr(o.poset, "is_isomorphic", counted)
-    for n in range(1, 7):
-        ups = repr([P.up for P in o.enumerate_posets(n)])
-        assert hashlib.sha256(ups.encode()).hexdigest() == ENUMERATION_SHA256[n]
-    # some refuted pairs share the sorted profile, so the backtracking
-    # search, not a count, refutes them
-    assert any(real_invariant(P) == real_invariant(Q) for P, Q in refuted)
+    assert keyed[1:] == [1, 2, 5, 16, 68, 350, 2333]
 
 
 def test_enumeration_matches_keying_every_candidate():
@@ -423,24 +398,24 @@ def test_pruning_drops_only_isomorphic_candidates():
 
 
 def test_enumeration_builds_few_candidates(cold_enumeration, monkeypatch):
-    # candidates built (one invariant each) and isomorphism tests run by
+    # candidates built (one key each) and isomorphism tests run by
     # enumerate_posets(7) on an empty cache; building every candidate would
-    # take 6,378 and 4,518
-    calls = {"invariant": 0, "iso": 0}
-    real_invariant, real_iso = o.poset._iso_invariant, o.poset.is_isomorphic
+    # take 6,378 keys
+    calls = {"key": 0, "iso": 0}
+    real_key, real_iso = o.poset.canonical_key, o.poset.is_isomorphic
 
-    def invariant(P):
-        calls["invariant"] += 1
-        return real_invariant(P)
+    def key(P):
+        calls["key"] += 1
+        return real_key(P)
 
     def iso(P, Q):
         calls["iso"] += 1
         return real_iso(P, Q)
 
-    monkeypatch.setattr(o.poset, "_iso_invariant", invariant)
+    monkeypatch.setattr(o.poset, "canonical_key", key)
     monkeypatch.setattr(o.poset, "is_isomorphic", iso)
     assert len(o.enumerate_posets(7)) == POSET_COUNTS[6]
-    assert calls == {"invariant": 2775, "iso": 548}
+    assert calls == {"key": 2775, "iso": 0}
 
 
 def test_enumeration_no_isomorphic_duplicates():
@@ -617,6 +592,24 @@ def test_is_isomorphic_needs_no_recursion_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert w is not None and w.validate(P, Q)
+
+
+def test_width_needs_no_recursion_depth():
+    # minimal a_i below b_i and b_(i+1), z below b_k only, b_j at index
+    # 2k + 1 - j: the greedy matching gives a_i the b_(i+1), so z's
+    # augmenting path runs through all k of them, with the recursion limit
+    # far below k
+    k = 1500
+    b = [2 * k + 1 - j for j in range(k + 1)]
+    pairs = [(i, b[i]) for i in range(k)] + [(i, b[i + 1]) for i in range(k)]
+    P = o.poset_new(2 * k + 2, pairs + [(k, b[k])])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        w = o.width(P)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w == k + 1
 
 
 def test_witness_symmetry_inverts():
