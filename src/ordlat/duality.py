@@ -16,7 +16,6 @@ from .errors import (
     NotOrderPreserving,
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
-from .lattice import _join_irreducibles
 from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, _pullback
 from .poset import _transpose, down_sets
 
@@ -42,25 +41,29 @@ class PrimeIdeal:
         if self.members & ~P.full_mask:
             return False
         outside = P.full_mask & ~self.members
-        return any(P.up[j] == outside for j in _join_irreducibles(P))
+        return any(P.up[j] == outside for j in self.lattice.irreducibles)
 
 
 def prime_ideals(L: DistLattice) -> list[PrimeIdeal]:
     """Prime ideals of L sorted by bitmask: by Birkhoff's theorem, exactly
     L minus the up-set of j for each join-irreducible j."""
     full = L.order.full_mask
-    masks = sorted(full & ~L.order.up[j] for j in _join_irreducibles(L.order))
+    masks = sorted(full & ~L.order.up[j] for j in L.irreducibles)
     return [PrimeIdeal(L, m) for m in masks]
 
 
 def _inclusion_order(masks: list[int], names) -> Poset:
     """The bitmasks under inclusion, in list order, each labelled by the
-    names of its members."""
-    # holding[x]: the masks that contain x; the masks above m are those
-    # holding every member of m
+    names of its members; its down-rows are set as its up-rows are."""
+    # holding[x] / lacking[x]: the masks that contain / omit x; the masks
+    # above m hold every member of m, and those below m omit every point
+    # outside it
     holding = _transpose(masks, len(names))
     full = (1 << len(masks)) - 1
+    lacking = [full & ~h for h in holding]
+    outside = (1 << len(names)) - 1
     up = []
+    down = []
     labels = []
     for m in masks:
         members = list(_bits(m))
@@ -68,8 +71,14 @@ def _inclusion_order(masks: list[int], names) -> Poset:
         for x in members:
             row &= holding[x]
         up.append(row)
+        row = full
+        for x in _bits(outside & ~m):
+            row &= lacking[x]
+        down.append(row)
         labels.append("{" + ",".join(names[x] for x in members) + "}")
-    return Poset(len(masks), tuple(up), tuple(labels))
+    P = Poset(len(masks), tuple(up), tuple(labels))
+    P.__dict__["down_masks"] = tuple(down)
+    return P
 
 
 def _spectrum(L: DistLattice, ideals: list[PrimeIdeal]) -> Poset:

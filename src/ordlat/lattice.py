@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 
@@ -15,23 +16,24 @@ from .errors import (
     NotHomomorphism,
     Unbounded,
 )
-from .poset import Poset, down_sets
+from .poset import Poset, _bits, _pullback, down_sets
 
 DEFAULT_HOM_CAP = 6
 
 
 @dataclass(frozen=True)
 class DistLattice:
-    """Bounded distributive lattice over a Poset, with full op tables.
+    """Bounded distributive lattice over a Poset, with its join-irreducibles
+    in index order.  The meet and join tables are a view built on first
+    read.
 
     Only constructed through the validating entry points; 0 != 1 always.
     """
 
     order: Poset
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
+    irreducibles: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -39,6 +41,18 @@ class DistLattice:
 
     def leq(self, a: int, b: int) -> bool:
         return self.order.leq(a, b)
+
+    @cached_property
+    def _op_tables(self):
+        return _tables(self.order)
+
+    @property
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        return self._op_tables[0]
+
+    @property
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        return self._op_tables[1]
 
 
 def _join_irreducibles(P: Poset) -> list[int]:
@@ -50,48 +64,34 @@ def _join_irreducibles(P: Poset) -> list[int]:
     return [j for j in range(P.n) if down[j] & ~(1 << j) in rows]
 
 
-def _check_distributive(P: Poset, meet, join) -> None:
-    """Birkhoff: a finite lattice is distributive iff its join-irreducibles
-    have no more down-sets than it has elements.  Otherwise raise on the
-    first failing (a, b, c) in lexicographic order.
+def _is_birkhoff(P: Poset, irreducibles: list[int]) -> bool:
+    """Whether a -> (down-set of a) & J, for J the given join-irreducibles
+    of P, is an order isomorphism onto the down-sets of J, so that P is a
+    distributive lattice (Birkhoff).
 
-    That search compares, for each (a, b), the row of a meet (b join c) over
-    all c with the row of (a meet b) join (a meet c), each gathered by one
-    itemgetter, and scans c only in a row that differs: still O(n^3), but
-    in C-level steps."""
-    n = P.n
+    The map reflects the order iff each up-row is the AND of the up-rows of
+    the J below it, and is then one-to-one; it is onto iff J has exactly
+    n down-sets, counted with the count capped at n."""
+    up, down, full = P.up, P.down_masks, P.full_mask
+    in_j = sum(1 << j for j in irreducibles)
+    for a in range(P.n):
+        row = full
+        for j in _bits(down[a] & in_j):
+            row &= up[j]
+        if row != up[a]:
+            return False
     try:
-        down_sets(P.induced(_join_irreducibles(P)), max_count=n)
-        return
+        return len(down_sets(P.induced(irreducibles), max_count=P.n)) == P.n
     except CapExceeded:
-        pass
-    by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[join[b][c]]
-    for a in range(n):
-        meet_a = meet[a]
-        by_meet_a = itemgetter(*meet_a)  # by_meet_a(r)[c] = r[meet[a][c]]
-        for b in range(n):
-            lhs = by_join[b](meet_a)
-            rhs = by_meet_a(join[meet_a[b]])
-            if lhs != rhs:
-                c = next(c for c in range(n) if lhs[c] != rhs[c])
-                raise NotDistributive((a, b, c))
-    raise InternalError("distributivity count and triple search disagree")
+        return False
 
 
-def lattice_from_poset(P: Poset) -> DistLattice:
-    """Read meet/join off the rows and validate all lattice axioms."""
+def _tables(P: Poset):
+    """Meet and join tables of P, read off the rows; the first pair a <= b,
+    in lexicographic order, with no greatest lower or least upper bound
+    raises ``NotALattice``."""
     n = P.n
-    if n <= 1:
-        raise DegenerateBounds("need 0 != 1, so at least two elements")
     down = P.down_masks
-    full = P.full_mask
-    bottoms = [i for i in range(n) if P.up[i] == full]
-    tops = [i for i in range(n) if down[i] == full]
-    if not bottoms:
-        raise Unbounded("bottom")
-    if not tops:
-        raise Unbounded("top")
-
     # a greatest lower bound m of a, b has down[m] = down[a] & down[b]; a
     # least upper bound likewise on the up-rows
     by_down = {row: m for m, row in enumerate(down)}
@@ -109,14 +109,51 @@ def lattice_from_poset(P: Poset) -> DistLattice:
             if lub is None:
                 raise NotALattice((a, b), "least upper bound")
             join_a[b] = join[b][a] = lub
-    _check_distributive(P, meet, join)
-    return DistLattice(
-        P,
-        tuple(tuple(row) for row in meet),
-        tuple(tuple(row) for row in join),
-        bottoms[0],
-        tops[0],
-    )
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def _raise_defect(P: Poset) -> None:
+    """Raise on the first defect of a bounded P that fails ``_is_birkhoff``:
+    the first pair with no meet or join, else the first failing (a, b, c)
+    in lexicographic order.
+
+    That search compares, for each (a, b), the row of a meet (b join c) over
+    all c with the row of (a meet b) join (a meet c), each gathered by one
+    itemgetter, and scans c only in a row that differs: still O(n^3), but
+    in C-level steps."""
+    n = P.n
+    meet, join = _tables(P)
+    by_join = [itemgetter(*row) for row in join]  # by_join[b](r)[c] = r[join[b][c]]
+    for a in range(n):
+        meet_a = meet[a]
+        by_meet_a = itemgetter(*meet_a)  # by_meet_a(r)[c] = r[meet[a][c]]
+        for b in range(n):
+            lhs = by_join[b](meet_a)
+            rhs = by_meet_a(join[meet_a[b]])
+            if lhs != rhs:
+                c = next(c for c in range(n) if lhs[c] != rhs[c])
+                raise NotDistributive((a, b, c))
+    raise InternalError("Birkhoff map check and triple search disagree")
+
+
+def lattice_from_poset(P: Poset) -> DistLattice:
+    """Validate P as a bounded distributive lattice by the Birkhoff map;
+    only an invalid P has its tables built, to name its defect."""
+    n = P.n
+    if n <= 1:
+        raise DegenerateBounds("need 0 != 1, so at least two elements")
+    down = P.down_masks
+    full = P.full_mask
+    bottoms = [i for i in range(n) if P.up[i] == full]
+    tops = [i for i in range(n) if down[i] == full]
+    if not bottoms:
+        raise Unbounded("bottom")
+    if not tops:
+        raise Unbounded("top")
+    irreducibles = _join_irreducibles(P)
+    if not _is_birkhoff(P, irreducibles):
+        _raise_defect(P)
+    return DistLattice(P, bottoms[0], tops[0], tuple(irreducibles))
 
 
 @dataclass(frozen=True)
@@ -139,7 +176,33 @@ class LatticeHom:
         )
 
 
+def _prime_pullbacks(L: DistLattice, K: DistLattice, pull) -> list[int] | None:
+    """The preimages of K's prime ideals under a map L -> K, given by its
+    preimage map ``pull`` over masks of K, in the order of K's
+    join-irreducibles; None unless each is a prime ideal of L.
+
+    The prime ideals of a finite distributive lattice are the complements
+    of its join-irreducibles' up-rows (Birkhoff), so each test is one row
+    lookup.  They separate points, so the map is a (0,1)-hom iff it pulls
+    every prime ideal back to a prime ideal."""
+    rows = {L.order.up[j] for j in L.irreducibles}
+    pulled = [pull(K.order.up[j]) for j in K.irreducibles]
+    if not all(row in rows for row in pulled):
+        return None
+    full = L.order.full_mask
+    return [full & ~row for row in pulled]
+
+
+def _is_hom(L: DistLattice, K: DistLattice, mapping) -> bool:
+    return _prime_pullbacks(L, K, _pullback(mapping, K.n)) is not None
+
+
 def _hom_defect(L: DistLattice, K: DistLattice, mapping):
+    """None when mapping is a (0,1)-hom L -> K, decided by prime pullbacks;
+    otherwise the first defect of a scan of the tables: the bottom, the
+    top, then the first pair a <= b whose meet, then join, is not kept."""
+    if _is_hom(L, K, mapping):
+        return None
     if mapping[L.bottom] != K.bottom:
         return ("bottom", L.bottom)
     if mapping[L.top] != K.top:
@@ -150,7 +213,7 @@ def _hom_defect(L: DistLattice, K: DistLattice, mapping):
                 return ("meet", (a, b))
             if mapping[L.join[a][b]] != K.join[mapping[a]][mapping[b]]:
                 return ("join", (a, b))
-    return None
+    raise InternalError("prime pullbacks and table scan disagree")
 
 
 def hom_new(L: DistLattice, K: DistLattice, mapping) -> LatticeHom:
@@ -175,11 +238,11 @@ def enumerate_homs(L: DistLattice, K: DistLattice, cap: int = DEFAULT_HOM_CAP):
     for mapping in iproduct(range(K.n), repeat=L.n):
         if mapping[L.bottom] != K.bottom or mapping[L.top] != K.top:
             continue
-        if _hom_defect(L, K, mapping) is None:
+        if _is_hom(L, K, mapping):
             out.append(LatticeHom(L, K, mapping))
     return out
 
 
 def join_irreducibles(L: DistLattice) -> Poset:
     """Induced subposet of non-bottom elements j with j = a v b => j in {a,b}."""
-    return L.order.induced(_join_irreducibles(L.order))
+    return L.order.induced(L.irreducibles)

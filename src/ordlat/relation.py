@@ -7,12 +7,12 @@ in its image, and desk-scale fixed-point and dimension surveys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import CapExceeded, InternalError, OrdlatError
 from .lattice import (
     DistLattice,
     LatticeHom,
+    _prime_pullbacks,
     hom_new,
     lattice_from_poset,
 )
@@ -66,43 +66,53 @@ def relation_poset(
         first[c] |= 1 << k
         second[d] |= 1 << k
     # above1[a] / above2[b]: the pairs whose first / second component is
-    # >= a / >= b; row (a, b) is their intersection
+    # >= a / >= b; up-row (a, b) is their intersection, and down-row (a, b)
+    # likewise that of below1[a] and below2[b]
     above1 = [0] * P.n
     above2 = [0] * P.n
-    for a in range(P.n):
-        for c in _bits(P.up[a]):
+    below1 = [0] * P.n
+    below2 = [0] * P.n
+    for a, (up_a, down_a) in enumerate(zip(P.up, P.down_masks)):
+        for c in _bits(up_a):
             above1[a] |= first[c]
             above2[a] |= second[c]
+        for c in _bits(down_a):
+            below1[a] |= first[c]
+            below2[a] |= second[c]
     up = tuple(above1[a] & above2[b] for a, b in prs)
     labels = tuple(f"({P.labels[a]},{P.labels[b]})" for a, b in prs)
-    return Poset(m, up, labels), tuple(prs)
+    RP = Poset(m, up, labels)
+    RP.__dict__["down_masks"] = tuple(below1[a] & below2[b] for a, b in prs)
+    return RP, tuple(prs)
 
 
 def relation_lattice(
     L: DistLattice, max_size: int = DEFAULT_MAX_SIZE
 ) -> tuple[DistLattice, PairMap]:
-    """Relation poset of L as a bounded distributive lattice, its tables
-    verified to be the componentwise operations of L x L: Phi(L) is a
-    (0,1)-sublattice of L x L."""
+    """Relation poset of L as a bounded distributive lattice, checked to be
+    a (0,1)-sublattice of L x L."""
+    return _relation_lattice(L, max_size)[:2]
+
+
+def _relation_lattice(L: DistLattice, max_size: int):
+    """``relation_lattice`` and the closed-form prime ideals of Phi(L), as
+    sorted masks: the preimages of the prime ideals I x L and L x I of
+    L x L, for I a prime ideal of L.
+
+    Those primes separate the points of L x L, so the inclusion is a
+    (0,1)-hom iff each preimage is a prime ideal of Phi(L): the check that
+    both components are (0,1)-homs Phi(L) -> L, by prime pullbacks."""
     RP, prs = relation_poset(L.order, max_size=max_size)
     lat = lattice_from_poset(RP)
-    # row k = (a, b) of a table, read through the first (second) components,
-    # must be row a (b) of L's table read at the first (second) components
-    p1 = tuple(a for a, _ in prs)
-    p2 = tuple(b for _, b in prs)
-    at1, at2 = itemgetter(*p1), itemgetter(*p2)
-    for table, ltable in ((lat.meet, L.meet), (lat.join, L.join)):
-        rows1 = [at1(row) for row in ltable]
-        rows2 = [at2(row) for row in ltable]
-        for row, (a, b) in zip(table, prs):
-            proj = itemgetter(*row)
-            if proj(p1) != rows1[a] or proj(p2) != rows2[b]:
-                raise InternalError(
-                    "relation lattice operations are not componentwise"
-                )
+    primes = set()
+    for pull in _components(prs, L.n):
+        pulled = _prime_pullbacks(lat, L, pull)
+        if pulled is None:
+            raise InternalError("relation lattice operations are not componentwise")
+        primes.update(pulled)
     if (prs[lat.bottom], prs[lat.top]) != ((L.bottom,) * 2, (L.top,) * 2):
         raise InternalError("relation lattice bounds are not (0,0) and (1,1)")
-    return lat, prs
+    return lat, prs, sorted(primes)
 
 
 def relation_hom(f: LatticeHom, max_size: int = DEFAULT_MAX_SIZE) -> LatticeHom:
@@ -119,9 +129,9 @@ def relation_prime_ideals(
 ) -> list[PrimeIdeal]:
     """Closed-form prime ideals of the relation lattice: for each prime
     ideal I of L, the pairs with both components in I, and the pairs with
-    first component in I.  Each result is independently revalidated."""
-    PhiL, prs = relation_lattice(L, max_size=max_size)
-    return _closed_form_primes(PhiL, *_components(prs, L.n), prime_ideals(L))
+    first component in I.  Each is checked prime by a row lookup."""
+    PhiL, _, primes = _relation_lattice(L, max_size)
+    return [PrimeIdeal(PhiL, m) for m in primes]
 
 
 def _components(prs: PairMap, width: int):
@@ -133,20 +143,6 @@ def _components(prs: PairMap, width: int):
     )
 
 
-def _closed_form_primes(PhiL, pull1, pull2, ideals) -> list[PrimeIdeal]:
-    masks = set()
-    for I in ideals:
-        first = pull1(I.members)
-        masks.update((first & pull2(I.members), first))
-    out = []
-    for m in sorted(masks):
-        ideal = PrimeIdeal(PhiL, m)
-        if not ideal.validate():
-            raise InternalError("closed-form member is not a prime ideal")
-        out.append(ideal)
-    return out
-
-
 def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> bool:
     """Check the closed-form prime ideals of the relation lattice against
     its spectrum computed directly, and check the projection facts behind
@@ -156,14 +152,12 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
     - proj1(S) is prime and proj2(S) is prime or everything,
     - proj2(S) is proj1(S) or everything.
     """
-    PhiL, prs = relation_lattice(L, max_size=max_size)
-    ideals = prime_ideals(L)
+    PhiL, prs, closed = _relation_lattice(L, max_size)
     direct = prime_ideals(PhiL)
-    pull1, pull2 = _components(prs, L.n)
-    closed = _closed_form_primes(PhiL, pull1, pull2, ideals)
-    if {I.members for I in direct} != {I.members for I in closed}:
+    if {I.members for I in direct} != set(closed):
         return False
-    prime_masks = {I.members for I in ideals}
+    pull1, pull2 = _components(prs, L.n)
+    prime_masks = {I.members for I in prime_ideals(L)}
     full = L.order.full_mask
     for S in direct:
         s1 = 0

@@ -534,6 +534,25 @@ def brute_check_tables(P, meet, join, bottom, top):
     return None if triple is None else (triple, "distributivity")
 
 
+def table_hom_defect(L, K, mapping):
+    """The first defect of a map L -> K by a scan of the meet and join
+    tables: ("bottom", L.bottom) or ("top", L.top) when a bound is not kept,
+    else the first pair a <= b, in lexicographic order, whose meet, then
+    join, is not kept, as ("meet", (a, b)) or ("join", (a, b)); None for a
+    (0,1)-homomorphism."""
+    if mapping[L.bottom] != K.bottom:
+        return ("bottom", L.bottom)
+    if mapping[L.top] != K.top:
+        return ("top", L.top)
+    for a in range(L.n):
+        for b in range(a, L.n):
+            if mapping[L.meet[a][b]] != K.meet[mapping[a]][mapping[b]]:
+                return ("meet", (a, b))
+            if mapping[L.join[a][b]] != K.join[mapping[a]][mapping[b]]:
+                return ("join", (a, b))
+    return None
+
+
 def brute_inclusion_order(masks):
     """Up-rows of the bitmasks under inclusion, in list order: bit j of
     row i is set iff masks[i] is a subset of masks[j]."""

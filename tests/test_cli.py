@@ -234,6 +234,19 @@ def test_check_on_long_chains_stays_in_budget(tmp_path, n, kind, budget_s):
     assert rss_kb < 300 * 1024
 
 
+def test_check_on_the_4096_element_boolean_lattice_stays_in_budget(tmp_path):
+    """E(antichain 12), the Boolean lattice of 4,096 elements, given by its
+    24,576 covers: `check` accepts it by the Birkhoff map on masks, with no
+    meet or join table of 4,096^2 entries (those took 12.9 s and 536 MB)."""
+    doc = {"schema_version": "1", "kind": "lattice", "size": 4096,
+           "leq_pairs": [[m, m | 1 << x] for m in range(4096) for x in range(12)
+                         if not m >> x & 1]}
+    status, wall, rss_kb, err = run_in_budget(tmp_path, doc, "check", max_size=4096)
+    assert (status, err) == (0, "")
+    assert wall < 5
+    assert rss_kb < 100 * 1024
+
+
 def test_downsets_lattice_is_capped_by_max_size(tmp_path):
     """A 12-point antichain has 4,096 down-sets: `downsets` refuses the
     lattice while enumerating them, before any table is built, naming the
@@ -357,6 +370,31 @@ def test_image_computes_the_prime_ideals_once(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "image", fx(fixture))[0] == code
         assert calls == [size]
+
+
+def test_valid_lattices_build_no_tables(capsys, monkeypatch):
+    """`check`, `phi --as lattice`, `primes`, `spec` and `image` never build
+    a meet or join table of a valid lattice; an invalid one has its tables
+    built once, to name its defect."""
+    from ordlat import lattice
+
+    built = []
+    real = lattice._tables
+
+    def counted(P):
+        built.append(P.n)
+        return real(P)
+
+    monkeypatch.setattr(lattice, "_tables", counted)
+    for fixture in ("chain3_lattice.json", "chain4_lattice.json",
+                    "boolean4_lattice.json", "e_cube2_lattice.json"):
+        for argv in (["check"], ["phi", "--as", "lattice"], ["primes"],
+                     ["spec"], ["image"]):
+            code, _, err = run(capsys, *argv, fx(fixture))
+            assert code in (0, 1) and err == ""
+    assert built == []
+    assert run(capsys, "check", fx("m3_lattice.json"))[0] == 1
+    assert built == [5]
 
 
 def test_image_yes_e_cube2(capsys):

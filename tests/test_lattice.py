@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -6,16 +7,20 @@ import ordlat as o
 from ordlat import (
     CapExceeded,
     DegenerateBounds,
+    InternalError,
     NotALattice,
     NotDistributive,
     NotHomomorphism,
+    OrdlatError,
     Unbounded,
+    lattice,
 )
 from oracles import (
     brute_check_tables,
     brute_first_failing_triple,
     brute_first_missing_bound,
     brute_meet_join,
+    table_hom_defect,
 )
 
 
@@ -127,6 +132,47 @@ def test_homs_are_order_preserving():
                     assert b4.leq(f(a), f(b))
 
 
+def test_hom_route_matches_table_scan_on_small_lattices():
+    """Between the distributive lattices of 2-6 elements, hom_new's prime
+    pullbacks accept exactly the maps the table scan accepts, and it names
+    the scan's defect on the rest: on every candidate of enumerate_homs
+    (bounds kept), and on every map between lattices of 2-4 elements."""
+    lattices = [
+        o.lattice_from_poset(P)
+        for n in range(2, 7)
+        for P in o.enumerate_posets(n)
+        if _oracle_defect(P) is None
+    ]
+    assert [L.n for L in lattices] == [2, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6]
+    kinds = {}
+    for L in lattices:
+        for K in lattices:
+            homs = []
+            ranges = [range(K.n)] * L.n
+            if max(L.n, K.n) > 4:
+                ranges[L.bottom], ranges[L.top] = [K.bottom], [K.top]
+            for mapping in iproduct(*ranges):
+                defect = table_hom_defect(L, K, mapping)
+                assert lattice._hom_defect(L, K, mapping) == defect
+                kind = None if defect is None else defect[0]
+                kinds[kind] = kinds.get(kind, 0) + 1
+                if defect is None:
+                    homs.append(mapping)
+            assert [f.mapping for f in o.enumerate_homs(L, K)] == homs
+    assert kinds == {
+        None: 2642, "bottom": 1042, "top": 277, "meet": 40851, "join": 6851,
+    }
+
+
+def test_hom_routes_that_disagree_raise_internal_error(monkeypatch):
+    """If the prime pullbacks refused a true hom, the table scan would find
+    no defect to name: that disagreement raises InternalError."""
+    L = o.lattice_from_poset(o.chain(3))
+    monkeypatch.setattr(lattice, "_prime_pullbacks", lambda L, K, pull: None)
+    with pytest.raises(InternalError):
+        o.hom_new(L, L, range(3))
+
+
 def test_join_irreducibles_examples():
     c3 = o.lattice_from_poset(o.chain(3))
     ji = o.join_irreducibles(c3)
@@ -155,6 +201,65 @@ def test_distributivity_matches_triple_oracle_on_all_small_lattices():
                     o.lattice_from_poset(P)
                 assert exc.value.triple == triple
     assert (lattices, distributive) == (77, 20)
+
+
+def _oracle_defect(P):
+    """The exception the table oracle expects lattice_from_poset to raise
+    on P, or None for a distributive lattice."""
+    defect = brute_first_missing_bound(P)
+    if isinstance(defect, str):
+        return Unbounded(defect)
+    if defect is not None:
+        return NotALattice(*defect)
+    bottom = next(x for x in range(P.n) if P.up[x] == P.full_mask)
+    top = next(x for x in range(P.n) if all(P.leq(y, x) for y in range(P.n)))
+    defect = brute_check_tables(P, *brute_meet_join(P), bottom, top)
+    return None if defect is None else NotDistributive(defect[0])
+
+
+def test_mask_route_matches_table_oracle_on_all_small_posets():
+    """On every enumerated poset of 2-7 elements, and on a random
+    relabelling of each, lattice_from_poset accepts exactly what the table
+    oracle accepts, with the oracle's join-irreducibles, and otherwise
+    raises the oracle's exception type on its pair or triple."""
+    rng = random.Random(16)
+    kinds = {}
+    for n in range(2, 8):
+        for P in o.enumerate_posets(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for Q in (P, P.relabel(perm)):
+                expected = _oracle_defect(Q)
+                kind = type(expected).__name__
+                kinds[kind] = kinds.get(kind, 0) + 1
+                if expected is None:
+                    L = o.lattice_from_poset(Q)
+                    _, join = brute_meet_join(Q)
+                    assert list(L.irreducibles) == [
+                        j for j in range(n) if j != L.bottom and all(
+                            join[a][b] != j or j in (a, b)
+                            for a in range(n) for b in range(n)
+                        )
+                    ]
+                    continue
+                with pytest.raises(OrdlatError) as exc:
+                    o.lattice_from_poset(Q)
+                assert type(exc.value) is type(expected)
+                assert str(exc.value) == str(expected)
+    # 2,449 posets of 2-7 elements, 77 of them lattices, 20 distributive;
+    # each counted twice
+    assert kinds == {
+        "NoneType": 40, "NotALattice": 22, "NotDistributive": 114,
+        "Unbounded": 4722,
+    }
+
+
+def test_failed_birkhoff_check_on_a_distributive_lattice_is_internal(monkeypatch):
+    """If the mask check refused a distributive lattice, the triple search
+    would find no witness: that disagreement raises InternalError."""
+    monkeypatch.setattr(lattice, "_is_birkhoff", lambda P, J: False)
+    with pytest.raises(InternalError):
+        o.lattice_from_poset(o.chain(3))
 
 
 def test_table_oracle_finds_each_kind_of_defect():

@@ -131,25 +131,47 @@ def test_relation_lattice_is_a_sublattice_of_the_square():
         ) is None
 
 
-def _rotate_second_row(rows):
-    row = rows[1]
-    return rows[:1] + (row[1:] + row[:1],) + rows[2:]
+def _swap_pairs(k, l):
+    """Spoil relation_poset's pair map by swapping pairs k and l."""
+    real = relation.relation_poset
+
+    def spoiled(P, max_size):
+        RP, prs = real(P, max_size)
+        prs = list(prs)
+        prs[k], prs[l] = prs[l], prs[k]
+        return RP, tuple(prs)
+
+    return "relation_poset", spoiled
 
 
-@pytest.mark.parametrize("spoil", [
-    lambda L: dataclasses.replace(L, meet=_rotate_second_row(L.meet)),
-    lambda L: dataclasses.replace(L, join=_rotate_second_row(L.join)),
-    lambda L: dataclasses.replace(L, bottom=L.top),
-], ids=["meet", "join", "bottom"])
-def test_relation_lattice_refuses_tables_that_are_not_componentwise(
-    monkeypatch, spoil
-):
-    """A table with one row rotated is still the table of some operation,
-    but not the componentwise one; a moved bottom is not (0,0).  The runtime
-    check raises on each."""
+def _moved_bottom():
+    """Spoil lattice_from_poset's bottom by moving it to the top."""
     real = relation.lattice_from_poset
-    monkeypatch.setattr(relation, "lattice_from_poset", lambda P: spoil(real(P)))
-    with pytest.raises(InternalError):
+
+    def spoiled(P):
+        L = real(P)
+        return dataclasses.replace(L, bottom=L.top)
+
+    return "lattice_from_poset", spoiled
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda: _swap_pairs(1, 2), "not componentwise"),
+    (lambda: _swap_pairs(1, 4), "not componentwise"),
+    (_moved_bottom, "bounds"),
+], ids=["second", "both", "bottom"])
+def test_relation_lattice_refuses_tables_that_are_not_componentwise(
+    monkeypatch, spoil, message
+):
+    """On Phi(chain 3), pairs (0,0), (0,1), (0,2), (1,1), (1,2), (2,2):
+    swapping (0,1) and (0,2) spoils the second components, and swapping
+    (0,1) and (1,2) both, so a component pulls some prime ideal of L back
+    to a set that is not prime.  (Swapping (0,2) and (1,1) would not do:
+    it is an automorphism of Phi(chain 3).)  A moved bottom is not (0,0).
+    The runtime check raises on each."""
+    name, spoiled = spoil()
+    monkeypatch.setattr(relation, name, spoiled)
+    with pytest.raises(InternalError, match=message):
         o.relation_lattice(lat(o.chain(3)))
 
 
@@ -188,6 +210,27 @@ def test_relation_prime_ideals_counts():
         assert len(o.relation_prime_ideals(L)) == 2 * len(o.prime_ideals(L))
     B = o.clopen_downset_lattice(o.antichain(2))
     assert len(o.relation_prime_ideals(B)) == 4
+
+
+def test_relation_prime_ideals_find_the_irreducibles_of_phi_once(monkeypatch):
+    """The closed-form primes of Phi(chain 4) (10 elements) are checked
+    against the join-irreducibles of Phi(chain 4) found once, when the
+    lattice is checked, not once per prime ideal."""
+    from ordlat import duality, lattice
+
+    L = lat(o.chain(4))
+    sizes = []
+    real = lattice._join_irreducibles
+
+    def counted(P):
+        sizes.append(P.n)
+        return real(P)
+
+    for module in (lattice, duality, relation):
+        if hasattr(module, "_join_irreducibles"):
+            monkeypatch.setattr(module, "_join_irreducibles", counted)
+    assert len(o.relation_prime_ideals(L)) == 6
+    assert sizes == [10]
 
 
 def test_verify_relation_primes_small():
