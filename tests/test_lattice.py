@@ -254,6 +254,23 @@ def test_mask_route_matches_table_oracle_on_all_small_posets():
     }
 
 
+def test_birkhoff_count_alone_does_not_accept():
+    """Bottom 6 under 0, 4 and 5; 4 and 5 under each of 1, 2, 3; top 7.
+    J = {0, 4, 5}, an antichain with 8 down-sets, as many as P has
+    elements, yet 4 and 5 have three minimal upper bounds: only the up-row
+    check refuses it.  No bounded poset of at most 7 elements needs it."""
+    covers = [(6, 0), (6, 4), (6, 5), (0, 7)]
+    covers += [(low, mid) for low in (4, 5) for mid in (1, 2, 3)]
+    covers += [(mid, 7) for mid in (1, 2, 3)]
+    P = o.poset_new(8, covers)
+    assert len(o.down_sets(P.induced([0, 4, 5]))) == P.n
+    expected = _oracle_defect(P)
+    with pytest.raises(NotALattice) as exc:
+        o.lattice_from_poset(P)
+    assert type(exc.value) is type(expected)
+    assert str(exc.value) == str(expected)
+
+
 def test_failed_birkhoff_check_on_a_distributive_lattice_is_internal(monkeypatch):
     """If the mask check refused a distributive lattice, the triple search
     would find no witness: that disagreement raises InternalError."""
