@@ -123,14 +123,14 @@ class Poset:
 
     def check_axioms(self) -> bool:
         """Reflexivity, antisymmetry and transitivity, row by row: i is in
-        its own up-row, and every other j in it has i outside its up-row and
-        an up-row inside i's."""
-        up = self.up
-        for i in range(self.n):
+        its own up-row, no bit of it lies outside range(n), and every other
+        j in it has i outside its up-row and an up-row inside i's."""
+        up, n = self.up, self.n
+        for i in range(n):
             row = up[i]
-            if not (row >> i) & 1:
+            if row >> n or not (row >> i) & 1:
                 return False
-            for j in _bits(row & self.full_mask & ~(1 << i)):
+            for j in _bits(row ^ (1 << i)):
                 if (up[j] >> i) & 1 or up[j] & ~row:
                     return False
         return True
@@ -574,7 +574,8 @@ def _twin_classes(P: Poset) -> list[list[int]]:
 
 def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical encoding of P's relation matrix, and a permutation realizing
-    it (``perm[i]`` = element placed at position i).
+    it (``perm[i]`` = element placed at position i): the chunks found by
+    ``_canonical_chunks``, and the least ordering its last states hold.
 
     The encoding is the least, over all orderings of P's elements, of the
     chunk tuple: the i-th chunk has a base-4 digit for each earlier element,
@@ -617,9 +618,18 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     last states, of their cells read in order, each in ascending index
     order.
     """
+    chunks, states = _canonical_chunks(P)
+    perm = min(
+        tuple(v for C in cells for v in _bits(C)) for cells, _, _ in states
+    )
+    return chunks, perm
+
+
+def _canonical_chunks(P: Poset) -> tuple[tuple[int, ...], list]:
+    """The chunk search of ``canonical_key``: the key, and the last states
+    (cells, placed elements, placeable elements), which hold exactly the
+    orderings that reach it."""
     n = P.n
-    if n == 0:
-        return (), ()
     up, down = P.up, P.down_masks
     # ones[k]: k digits of 1; a cell's sorted digits with b ones and c twos
     # read ones[b + c] + ones[c]
@@ -696,10 +706,7 @@ def canonical_key(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if split not in seen:
                 seen.add(split)
                 frontier.append((split, placed | bit, (ready ^ bit) | after[v]))
-    perm = min(
-        tuple(v for C in cells for v in _bits(C)) for cells, _, _ in frontier
-    )
-    return tuple(chunks), perm
+    return tuple(chunks), frontier
 
 
 def _kept_down_sets(Q: Poset) -> list[int]:
@@ -738,11 +745,41 @@ def _kept_down_sets(Q: Poset) -> list[int]:
     ]
 
 
+def _decoded(key: tuple[int, ...], labels: tuple[str, ...]) -> Poset:
+    """The poset whose relation matrix the chunks of ``key`` spell out, in
+    canonical order.  Chunk k holds a base-4 digit for each j < k, j = 0
+    most significant: 2 if j is below k, 1 if j is above k.  The down-rows
+    are set with the up-rows, so the poset is never transposed: the next
+    level's candidates extend them, and every suite but the fixed-point
+    scan reads them."""
+    n = len(key)
+    up = [1 << k for k in range(n)]
+    down = up[:]
+    for k, code in enumerate(key):
+        bit = 1 << k
+        while code:
+            # bit t is the high bit (digit 2) or the low bit (digit 1) of
+            # the digit for j
+            t = code.bit_length() - 1
+            j = k - 1 - (t >> 1)
+            if t & 1:
+                up[j] |= bit
+                down[k] |= 1 << j
+            else:
+                up[k] |= 1 << j
+                down[j] |= bit
+            code ^= 1 << t
+    P = Poset(n, tuple(up), labels)
+    P.__dict__["down_masks"] = tuple(down)
+    return P
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[Poset, ...]:
     """The classes of ``enumerate_posets(n)``, one per canonical key over
-    the kept candidates, each checked against the poset axioms once, when
-    it is built; n = 0 is the empty poset that n = 1 grows from."""
+    the kept candidates, each decoded from its key and checked against the
+    poset axioms once, when it is built; n = 0 is the empty poset that
+    n = 1 grows from."""
     if n == 0:
         return (Poset(0, (), ()),)
     labels = _default_labels(n)
@@ -756,14 +793,9 @@ def _enumerate_cached(n: int) -> tuple[Poset, ...]:
             cand = Poset(n, tuple(up), labels)
             # the new element is maximal: no old down-row gains it
             cand.__dict__["down_masks"] = Q.down_masks + (D | bit,)
-            key, perm = canonical_key(cand)
+            key = _canonical_chunks(cand)[0]
             if key not in out:
-                rep = Poset(n, cand.relabel(perm).up, labels)
-                # built with the class: the next level's candidates extend
-                # its down-rows, and every suite but the fixed-point scan
-                # reads them
-                rep.down_masks
-                out[key] = rep
+                out[key] = _decoded(key, labels)
     reps = tuple(out[k] for k in sorted(out))
     for P in reps:
         if not P.check_axioms():
@@ -779,10 +811,10 @@ def enumerate_posets(n: int) -> list[Poset]:
     (n-1)-element class.  A candidate that the twin-orbit or
     canonical-parent rule of ``_kept_down_sets`` shows to be isomorphic to
     a kept one is skipped before it is built.  Every other candidate is
-    keyed by ``canonical_key``, which alone tells the classes apart: the
-    first candidate with a new key is relabelled into canonical order and
-    becomes the representative, which depends only on the class, since the
-    key fixes the relation matrix in that order."""
+    keyed by the chunk search of ``canonical_key``, which alone tells the
+    classes apart: each new key is decoded into the representative, the
+    poset whose relation matrix it spells out in canonical order, so the
+    representative depends only on the class."""
     if n < 1:
         raise ValueError("enumerate_posets needs n >= 1")
     if n > ENUMERATION_CAP:

@@ -95,9 +95,10 @@ def relation_lattice(
 
 
 def _relation_lattice(L: DistLattice, max_size: int):
-    """``relation_lattice`` and the closed-form prime ideals of Phi(L), as
-    sorted masks: the preimages of the prime ideals I x L and L x I of
-    L x L, for I a prime ideal of L.
+    """``relation_lattice``, the closed-form prime ideals of Phi(L), as
+    sorted masks, and the preimage maps of the two components: the primes
+    are the preimages of the prime ideals I x L and L x I of L x L, for I a
+    prime ideal of L.
 
     Those primes separate the points of L x L, so the inclusion is a
     (0,1)-hom iff each preimage is a prime ideal of Phi(L): the check that
@@ -105,14 +106,15 @@ def _relation_lattice(L: DistLattice, max_size: int):
     RP, prs = relation_poset(L.order, max_size=max_size)
     lat = lattice_from_poset(RP)
     primes = set()
-    for pull in _components(prs, L.n):
+    pulls = _components(prs, L.n)
+    for pull in pulls:
         pulled = _prime_pullbacks(lat, L, pull)
         if pulled is None:
             raise InternalError("relation lattice operations are not componentwise")
         primes.update(pulled)
     if (prs[lat.bottom], prs[lat.top]) != ((L.bottom,) * 2, (L.top,) * 2):
         raise InternalError("relation lattice bounds are not (0,0) and (1,1)")
-    return lat, prs, sorted(primes)
+    return lat, prs, sorted(primes), pulls
 
 
 def relation_hom(f: LatticeHom, max_size: int = DEFAULT_MAX_SIZE) -> LatticeHom:
@@ -130,7 +132,7 @@ def relation_prime_ideals(
     """Closed-form prime ideals of the relation lattice: for each prime
     ideal I of L, the pairs with both components in I, and the pairs with
     first component in I.  Each is checked prime by a row lookup."""
-    PhiL, _, primes = _relation_lattice(L, max_size)
+    PhiL, _, primes, _ = _relation_lattice(L, max_size)
     return [PrimeIdeal(PhiL, m) for m in primes]
 
 
@@ -152,11 +154,10 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
     - proj1(S) is prime and proj2(S) is prime or everything,
     - proj2(S) is proj1(S) or everything.
     """
-    PhiL, prs, closed = _relation_lattice(L, max_size)
+    PhiL, prs, closed, (pull1, pull2) = _relation_lattice(L, max_size)
     direct = prime_ideals(PhiL)
     if {I.members for I in direct} != set(closed):
         return False
-    pull1, pull2 = _components(prs, L.n)
     prime_masks = {I.members for I in prime_ideals(L)}
     full = L.order.full_mask
     for S in direct:

@@ -40,11 +40,11 @@ def brute_closure(size, pairs):
 
 
 def brute_check_axioms(P):
-    """Reflexivity, antisymmetry and transitivity of P's rows, pair by pair
-    and triple by triple."""
+    """Rows inside range(n), then reflexivity, antisymmetry and transitivity
+    of P's rows, pair by pair and triple by triple."""
     n = P.n
     for i in range(n):
-        if not P.leq(i, i):
+        if P.up[i] >> n or not P.leq(i, i):
             return False
         for j in range(n):
             if i != j and P.leq(i, j) and P.leq(j, i):

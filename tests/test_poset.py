@@ -339,11 +339,11 @@ def cold_enumeration():
 
 
 def test_enumeration_keys_each_candidate_once(cold_enumeration, monkeypatch):
-    # every kept candidate is keyed once, and the key alone tells the
-    # classes apart: 68, 350 and 2,333 candidates for 63, 318 and 2,045
-    # classes at n = 5, 6, 7
+    # every kept candidate is keyed once, by the chunk search alone (no
+    # permutation is built), and the key alone tells the classes apart: 68,
+    # 350 and 2,333 candidates for 63, 318 and 2,045 classes at n = 5, 6, 7
     keyed = [0] * 8
-    real_key = o.poset.canonical_key
+    real_key = o.poset._canonical_chunks
 
     def counted(P):
         # every candidate arrives here with its down-rows set, not built
@@ -354,9 +354,40 @@ def test_enumeration_keys_each_candidate_once(cold_enumeration, monkeypatch):
         keyed[P.n] += 1
         return real_key(P)
 
-    monkeypatch.setattr(o.poset, "canonical_key", counted)
+    monkeypatch.setattr(o.poset, "_canonical_chunks", counted)
+    monkeypatch.setattr(o.poset, "canonical_key", None)
     o.enumerate_posets(7)
     assert keyed[1:] == [1, 2, 5, 16, 68, 350, 2333]
+
+
+def test_representatives_match_the_relabelled_candidates(
+    cold_enumeration, monkeypatch
+):
+    # the old route as the oracle: each class's first kept candidate,
+    # relabelled along canonical_key's permutation, rows transposed.  The
+    # decode sets the down-rows itself, so a cold enumeration transposes
+    # only the empty poset it grows from
+    transposed = []
+    real = o.poset._transpose
+
+    def counted(rows, width):
+        transposed.append(width)
+        return real(rows, width)
+
+    monkeypatch.setattr(o.poset, "_transpose", counted)
+    reps = [[o.Poset(0, (), ())]] + [o.enumerate_posets(n) for n in range(1, 8)]
+    assert transposed == [0]
+    for n in range(1, 8):
+        first = {}
+        for Q in reps[n - 1]:
+            for D in o.poset._kept_down_sets(Q):
+                rows = [r | ((D >> i) & 1) << (n - 1) for i, r in enumerate(Q.up)]
+                cand = o.Poset(n, tuple(rows) + (1 << (n - 1),), ("",) * n)
+                key, perm = o.canonical_key(cand)
+                first.setdefault(key, cand.relabel(perm).up)
+        assert [(P.up, P.down_masks) for P in reps[n]] == [
+            (first[k], tuple(brute_transpose(first[k], n))) for k in sorted(first)
+        ], n
 
 
 def test_enumeration_matches_keying_every_candidate():
@@ -402,7 +433,7 @@ def test_enumeration_builds_few_candidates(cold_enumeration, monkeypatch):
     # enumerate_posets(7) on an empty cache; building every candidate would
     # take 6,378 keys
     calls = {"key": 0, "iso": 0}
-    real_key, real_iso = o.poset.canonical_key, o.poset.is_isomorphic
+    real_key, real_iso = o.poset._canonical_chunks, o.poset.is_isomorphic
 
     def key(P):
         calls["key"] += 1
@@ -412,7 +443,7 @@ def test_enumeration_builds_few_candidates(cold_enumeration, monkeypatch):
         calls["iso"] += 1
         return real_iso(P, Q)
 
-    monkeypatch.setattr(o.poset, "canonical_key", key)
+    monkeypatch.setattr(o.poset, "_canonical_chunks", key)
     monkeypatch.setattr(o.poset, "is_isomorphic", iso)
     assert len(o.enumerate_posets(7)) == POSET_COUNTS[6]
     assert calls == {"key": 2775, "iso": 0}
@@ -540,8 +571,8 @@ def test_closure_yields_valid_poset_or_cycle_error(case):
 @st.composite
 def unclosed_rows(draw):
     """Up-rows on 0-8 elements: a closed order with up to three bits
-    flipped, or arbitrary rows, mostly non-reflexive, cyclic or
-    non-transitive."""
+    flipped, at positions up to n, or arbitrary rows, mostly non-reflexive,
+    cyclic or non-transitive."""
     n = draw(st.integers(0, 8))
     if n == 0:
         return []
@@ -553,7 +584,7 @@ def unclosed_rows(draw):
     pairs = draw(st.lists(st.tuples(index, index), max_size=12))
     rows = brute_closure(n, [(min(p), max(p)) for p in pairs])[0]
     for _ in range(draw(st.integers(0, 3))):
-        rows[draw(index)] ^= 1 << draw(index)
+        rows[draw(index)] ^= 1 << draw(st.integers(0, n))
     return rows
 
 
@@ -562,6 +593,13 @@ def unclosed_rows(draw):
 def test_check_axioms_matches_triple_loop(rows):
     P = o.Poset(len(rows), tuple(rows), tuple(map(str, range(len(rows)))))
     assert P.check_axioms() == brute_check_axioms(P)
+
+
+def test_check_axioms_refuses_a_bit_outside_the_ground_set():
+    # the antichain on 2 points, but with bit 2 set in the first up-row
+    P = o.Poset(2, (0b101, 0b10), ("0", "1"))
+    assert not P.check_axioms() and not brute_check_axioms(P)
+    assert o.antichain(2).check_axioms()
 
 
 @settings(max_examples=40, deadline=None)

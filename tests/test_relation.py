@@ -243,6 +243,23 @@ def test_verify_relation_primes_small():
         assert o.verify_relation_primes(L)
 
 
+def test_verify_relation_primes_pulls_components_once(monkeypatch):
+    # the component pullbacks that check Phi(L) inside L x L are the ones
+    # the projection checks read
+    calls = []
+    real = relation._components
+
+    def counted(prs, width):
+        calls.append(width)
+        return real(prs, width)
+
+    monkeypatch.setattr(relation, "_components", counted)
+    for L in (lat(o.chain(3)), o.clopen_downset_lattice(o.antichain(2))):
+        calls.clear()
+        assert o.verify_relation_primes(L)
+        assert calls == [L.n]
+
+
 def test_verify_relation_primes_random_larger():
     # 100 random lattices of size > 5, staying inside the brute-force
     # down-set cap (spaces of 4 points already put the pair lattice at 81

@@ -8,9 +8,10 @@ For each workload and seed, runs ``perfbench/run.py`` once in each tree
 which tree goes first.  For every end-to-end metric it writes each side's
 values, median and quartiles, how many pairs the change won (ties count for
 neither), whether the change's median stays within the metric's bound, and
-whether the gain rule holds: wins in at least nine tenths of the pairs and
-medians further apart than the parent's q1-q3 spread.  Failed and attempted
-op counts are kept per side.
+whether the gain rule holds: every run on both sides correct, wins in at
+least nine tenths of the pairs and medians further apart than the parent's
+q1-q3 spread.  Failed and attempted op counts, and whether every run passed
+the benchmark's own checks, are kept per side.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarise(spec: dict, runs: dict[str, list[dict]]) -> dict:
+    correct = {s: all(r["correct"] for r in runs[s]) for s in SIDES}
     metrics = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -57,12 +59,14 @@ def summarise(spec: dict, runs: dict[str, list[dict]]) -> dict:
             "wins": wins,
             "within_bound": (change["median"] <= limit if lower
                              else change["median"] >= limit),
-            "gain": (wins >= 0.9 * len(values["parent"])
+            "gain": (all(correct.values())
+                     and wins >= 0.9 * len(values["parent"])
                      and gained > parent["q3"] - parent["q1"]),
         }
     return {
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in SIDES},
+        "correct": correct,
         "metrics": metrics,
     }
 
