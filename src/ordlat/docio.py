@@ -70,7 +70,9 @@ def document_to_poset(doc, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset
 def parse_document(text: str, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError, a ValueError for an int literal past
+        # Python's digit limit, and a RecursionError for deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     return document_to_poset(doc, max_size)
 

@@ -152,7 +152,12 @@ def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:
     """Down-set lattice hom induced by an order-preserving g: X -> Y, acting
     by preimage: a down-set of Y maps to its g-preimage in X."""
     g = _order_preserving(X, Y, g)
-    return _e_hom(g, _downset_lattice(X), _downset_lattice(Y))
+    EX, dsx = _downset_lattice(X)
+    EY, dsy = _downset_lattice(Y)
+    pull = _pullback(g, Y.n)
+    return hom_new(
+        EY, EX, _positions([pull(d) for d in dsy], dsx, "preimage of a down-set")
+    )
 
 
 def _order_preserving(X: Poset, Y: Poset, g) -> tuple[int, ...]:
@@ -178,17 +183,6 @@ def _order_violation(X: Poset, Y: Poset, g):
         if bad:
             return (a, (bad & -bad).bit_length() - 1)
     return None
-
-
-def _e_hom(g, ex, ey) -> LatticeHom:
-    """``e_hom`` for a checked g, on the down-set lattices of X and Y, each
-    given with its carrier as ``_downset_lattice`` returns it.  The last
-    down-set of Y is all of Y, so its bit length is Y's point count."""
-    (EX, dsx), (EY, dsy) = ex, ey
-    pull = _pullback(g, dsy[-1].bit_length())
-    return hom_new(
-        EY, EX, _positions([pull(d) for d in dsy], dsx, "preimage of a down-set")
-    )
 
 
 def _positions(keys, carrier, what: str) -> list[int]:

@@ -20,8 +20,6 @@ from .duality import (
     PrimeIdeal,
     _certified,
     _downset_lattice,
-    _e_hom,
-    _order_preserving,
     _positions,
     _spectrum,
     _unit_images,
@@ -188,15 +186,7 @@ def relation_downset_iso(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitne
     """
     E, ds = _downset_lattice(X, max_size)
     PhiE, prs = relation_lattice(E, max_size=max_size)
-    e2 = _downset_lattice(product(X, chain(2), max_size), max_size)
-    return _layer_iso(ds, PhiE, prs, e2)
-
-
-def _layer_iso(ds, PhiE, prs, e2) -> IsoWitness:
-    """``relation_downset_iso`` from the down-sets ``ds`` of X, the relation
-    lattice of their lattice with its pairs, and the down-set lattice of
-    X x 2 with its carrier."""
-    E2, ds2 = e2
+    E2, ds2 = _downset_lattice(product(X, chain(2), max_size), max_size)
     layered = []
     for i, j in prs:
         c = 0
@@ -282,11 +272,7 @@ def relation_image_witness(
     the relation lattice of K onto L: it inverts the duality unit L -> E(X)
     followed by the pull-back to E(Y x 2) and the split into two layers.
     """
-    return _image_witness(L, prime_ideals(L), max_size)
-
-
-def _image_witness(L: DistLattice, ideals, max_size: int):
-    """``relation_image_witness`` given the prime ideals of L."""
+    ideals = prime_ideals(L)
     X = _spectrum(L, ideals)
     fw = factor_by_two(X)
     if fw is None:
@@ -377,30 +363,19 @@ def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
     return FixedPointReport(mode, n_max, tuple(hits), expectation)
 
 
-def cube_shift_check(n: int) -> bool:
+def cube_shift_check(n: int, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     """Finite shadow of the shift self-similarity of the infinite cube:
-    the relation lattice of the n-cube's down-set lattice is isomorphic to
-    the (n+1)-cube's down-set lattice, via an explicit composed witness."""
-    return _cube_shift(n, DEFAULT_MAX_SIZE)[0]
-
-
-def _cube_shift(n: int, max_size: int) -> tuple[bool, int]:
-    """``cube_shift_check(n)`` and the size of the relation lattice it
-    built, the number of comparable pairs of the n-cube's down-sets."""
+    Lemma 5.1 at X = cube n.  Returns the certified isomorphism from the
+    relation lattice of E(cube n) onto E(cube n x 2), which is E(cube(n+1))
+    because cube n x 2 and cube(n+1) have the same up-rows; that is checked
+    after the lemma, so its caps are met first."""
     X = cube(n, max_size)
-    E1, ds = _downset_lattice(X, max_size)
-    Phi1, prs = relation_lattice(E1, max_size)
-    X1 = cube(n + 1, max_size)
-    prod = product(X, chain(2), max_size)
-    E2 = _downset_lattice(prod, max_size)
-    w_layers = _layer_iso(ds, Phi1, prs, E2)  # Phi1 -> E(X x 2)
-    # drop coordinate 0 into the extra factor: y -> (shift(y), y(0))
-    shuffle = [((i >> 1) * 2) + (i & 1) for i in range(X1.n)]
-    g = _order_preserving(X1, prod, shuffle)
-    hom = _e_hom(g, _downset_lattice(X1, max_size), E2)  # E(X x 2) -> E(X1)
-    forward = [hom.mapping[w_layers.forward[k]] for k in range(Phi1.n)]
-    w = IsoWitness.from_forward(forward)
-    return w.validate(Phi1.order, hom.target.order), Phi1.n
+    w = relation_downset_iso(X, max_size)
+    # the lemma's relation lattice has as many elements as E(cube n x 2),
+    # more than the 2^(n+1) points of either side, so its cap holds here
+    if product(X, chain(2), max_size).up != cube(n + 1, max_size).up:
+        raise InternalError(f"cube {n} x 2 is not cube {n + 1}")
+    return w
 
 
 def dimension_report(

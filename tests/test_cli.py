@@ -47,6 +47,31 @@ def test_check_malformed_json(capsys):
     assert "error" in err
 
 
+def test_check_refuses_a_document_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+def test_check_refuses_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth")
+
+
+def test_check_refuses_an_int_literal_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    doc = '{"schema_version": "1", "kind": "poset", "size": %s, "leq_pairs": []}'
+    path.write_text(doc % ("9" * 5000))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+
 def test_usage_error_returns_2(capsys):
     assert main(["bogus-command"]) == 2
 
@@ -461,17 +486,40 @@ def test_experiments_refuse_past_the_enumeration_cap_up_front(
     assert err == "error: CapExceeded: poset enumeration capped at n = 7\n"
 
 
+# the first refusal of `experiments shift --n-max 3` at each side of each
+# cap threshold: cube 0 (1 point), E(cube 0) (2 elements), and the relation
+# lattices of E(cube n), n = 0..3 (3, 6, 20 and 168 elements)
+SHIFT_REFUSALS = {
+    0: "cube 0 has 1 elements, cap 0",
+    1: "down-set lattice of a 1-point poset has more than 1 elements, cap 1 "
+       "(raise it with --max-size)",
+    2: "relation poset has 3 elements, cap 2",
+    3: "relation poset has 6 elements, cap 3",
+    5: "relation poset has 6 elements, cap 5",
+    6: "relation poset has 20 elements, cap 6",
+    19: "relation poset has 20 elements, cap 19",
+    20: "relation poset has 168 elements, cap 20",
+    167: "relation poset has 168 elements, cap 167",
+}
+
+
 def test_experiments_shift_obeys_max_size(capsys):
+    for cap, message in SHIFT_REFUSALS.items():
+        code, out, err = run(
+            capsys, "--max-size", str(cap), "experiments", "shift", "--n-max", "3"
+        )
+        assert (code, out) == (1, ""), cap
+        assert err == f"error: CapExceeded: {message}\n"
     code, out, err = run(
-        capsys, "--max-size", "5", "experiments", "shift", "--n-max", "3"
+        capsys, "--max-size", "168", "experiments", "shift", "--n-max", "3"
     )
-    assert (code, out) == (1, "")
-    assert err == "error: CapExceeded: relation poset has 6 elements, cap 5\n"
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["all_pass"] is True
 
 
 def test_experiments_shift_builds_each_downset_lattice_once(capsys, monkeypatch):
-    """The suite reads the comparable pairs of E(cube n) off the relation
-    lattice the check builds: three down-set scans per case, none more."""
+    """The suite reads the comparable pairs of E(cube n) off the witness the
+    check returns: two down-set scans per case, of cube n and cube n x 2."""
     from ordlat import duality
 
     calls = []
@@ -486,7 +534,7 @@ def test_experiments_shift_builds_each_downset_lattice_once(capsys, monkeypatch)
     assert code == 0
     cases = json.loads(out)["result"]["cases"]
     assert [cases[str(n)]["comparable_pairs"] for n in range(4)] == [3, 6, 20, 168]
-    assert len(calls) == 4 * 3
+    assert calls == [p for n in range(4) for p in (1 << n, 2 << n)]
 
 
 def test_experiments_dimtable_csv(capsys):
@@ -514,6 +562,16 @@ def test_output_flag(tmp_path, capsys):
     code = main(["--output", str(target), "spec", fx("chain3_lattice.json")])
     assert code == 0
     assert json.loads(target.read_text())["command"] == "spec"
+
+
+def test_output_to_a_missing_directory_is_refused(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "--output", str(target), "check", fx("chain2_poset.json")
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: [Errno 2]")
+    assert not target.parent.exists()
 
 
 def test_document_roundtrip_fixtures():

@@ -465,8 +465,8 @@ def test_find_fixed_points_bad_mode():
 
 
 def test_cube_shift_small(monkeypatch):
-    """E(cube n), its relation lattice, E(cube n x 2) and E(cube(n+1)) are
-    each built once: one relation lattice and three down-set scans."""
+    """E(cube n), its relation lattice and E(cube n x 2) are each built
+    once: one relation lattice and two down-set scans."""
     from ordlat import duality, relation
 
     calls = {"down_sets": 0, "relation_lattice": 0}
@@ -484,9 +484,22 @@ def test_cube_shift_small(monkeypatch):
     counted(relation, "relation_lattice")
     for n in range(4):
         assert o.cube_shift_check(n)
-    assert calls == {"down_sets": 4 * 3, "relation_lattice": 4}
+    assert calls == {"down_sets": 4 * 2, "relation_lattice": 4}
     with pytest.raises(CapExceeded):
         o.cube_shift_check(4)
+
+
+def test_cube_shift_witness_lands_on_the_next_cube():
+    """The witness from Phi(E(cube n)) validates against E(cube(n+1)) built
+    on its own, not only against the E(cube n x 2) it was certified on."""
+    lengths = []
+    for n in range(4):
+        w = o.cube_shift_check(n)
+        E = o.clopen_downset_lattice(o.cube(n))
+        PhiE, _ = o.relation_lattice(E)
+        assert w.validate(PhiE.order, o.clopen_downset_lattice(o.cube(n + 1)).order)
+        lengths.append(len(w.forward))
+    assert lengths == [3, 6, 20, 168]
 
 
 def test_dimension_report_checks_the_bounds(monkeypatch):
