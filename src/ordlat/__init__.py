@@ -22,7 +22,6 @@ from .poset import (
     canonical_key,
     chain,
     cube,
-    disjoint_union,
     down_sets,
     enumerate_posets,
     is_connected,
@@ -42,7 +41,6 @@ from .lattice import (
     lattice_from_poset,
 )
 from .duality import (
-    PrimeIdeal,
     SpectrumMap,
     clopen_downset_lattice,
     e_hom,

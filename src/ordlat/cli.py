@@ -221,7 +221,7 @@ def cmd_primes(args) -> tuple[str, int]:
     ideals = prime_ideals(L)
     result = {
         "count": len(ideals),
-        "prime_ideals": [I.elements() for I in ideals],
+        "prime_ideals": [[x for x in range(P.n) if (m >> x) & 1] for m in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 
@@ -232,7 +232,7 @@ def cmd_spec(args) -> tuple[str, int]:
     ideals = prime_ideals(L)
     result = {
         "document": docio.poset_to_document(_spectrum(L, ideals)),
-        "prime_ideals": [I.elements() for I in ideals],
+        "prime_ideals": [[x for x in range(P.n) if (m >> x) & 1] for m in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 

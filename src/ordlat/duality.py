@@ -20,36 +20,11 @@ from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, _pullback
 from .poset import _transpose, down_sets
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
-    """Prime ideal of a lattice, stored as a carrier-index bitmask."""
-
-    lattice: DistLattice
-    members: int
-
-    def __contains__(self, a: int) -> bool:
-        return bool((self.members >> a) & 1)
-
-    def elements(self) -> list[int]:
-        return list(_bits(self.members))
-
-    def validate(self) -> bool:
-        """Primality by row lookup: in a finite distributive lattice
-        a subset is a prime ideal iff its complement is the up-row of a
-        join-irreducible (Birkhoff), which costs O(n) rows, not O(n^3)."""
-        P = self.lattice.order
-        if self.members & ~P.full_mask:
-            return False
-        outside = P.full_mask & ~self.members
-        return any(P.up[j] == outside for j in self.lattice.irreducibles)
-
-
-def prime_ideals(L: DistLattice) -> list[PrimeIdeal]:
-    """Prime ideals of L sorted by bitmask: by Birkhoff's theorem, exactly
+def prime_ideals(L: DistLattice) -> list[int]:
+    """Prime ideals of L as sorted bitmasks: by Birkhoff's theorem, exactly
     L minus the up-set of j for each join-irreducible j."""
     full = L.order.full_mask
-    masks = sorted(full & ~L.order.up[j] for j in L.irreducibles)
-    return [PrimeIdeal(L, m) for m in masks]
+    return sorted(full & ~L.order.up[j] for j in L.irreducibles)
 
 
 def _inclusion_order(masks: list[int], names) -> Poset:
@@ -81,9 +56,9 @@ def _inclusion_order(masks: list[int], names) -> Poset:
     return P
 
 
-def _spectrum(L: DistLattice, ideals: list[PrimeIdeal]) -> Poset:
+def _spectrum(L: DistLattice, ideals: list[int]) -> Poset:
     """Poset of the given prime ideals of L under inclusion, in list order."""
-    return _inclusion_order([I.members for I in ideals], L.order.labels)
+    return _inclusion_order(ideals, L.order.labels)
 
 
 def spec(L: DistLattice) -> Poset:
@@ -111,9 +86,7 @@ def spec_hom(f: LatticeHom) -> SpectrumMap:
     tgt_ideals = prime_ideals(f.target)
     pull = _pullback(f.mapping, f.target.n)
     mapping = _positions(
-        [pull(I.members) for I in tgt_ideals],
-        [I.members for I in src_ideals],
-        "preimage of a prime ideal",
+        [pull(I) for I in tgt_ideals], src_ideals, "preimage of a prime ideal"
     )
     source = _spectrum(f.target, tgt_ideals)
     out = SpectrumMap(source, _spectrum(f.source, src_ideals), tuple(mapping))
@@ -218,7 +191,7 @@ def unit_lattice(L: DistLattice) -> IsoWitness:
     ideals = prime_ideals(L)
     # Birkhoff: the spectrum of L has exactly |L| down-sets
     E, ds = _downset_lattice(_spectrum(L, ideals), L.n)
-    images = _unit_images([I.members for I in ideals], L.n)
+    images = _unit_images(ideals, L.n)
     return _certified(L.order, E.order, images, ds, "duality unit")
 
 
@@ -227,6 +200,5 @@ def unit_space(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     isomorphism from X onto the spectrum of its down-set lattice."""
     E, ds = _downset_lattice(X, max_size)
     ideals = prime_ideals(E)
-    carrier = [I.members for I in ideals]
     images = _unit_images(ds, X.n)
-    return _certified(X, _spectrum(E, ideals), images, carrier, "duality co-unit")
+    return _certified(X, _spectrum(E, ideals), images, ideals, "duality co-unit")

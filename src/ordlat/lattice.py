@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 
@@ -24,8 +23,7 @@ DEFAULT_HOM_CAP = 6
 @dataclass(frozen=True)
 class DistLattice:
     """Bounded distributive lattice over a Poset, with its join-irreducibles
-    in index order.  The meet and join tables are a view built on first
-    read.
+    in index order.
 
     Only constructed through the validating entry points; 0 != 1 always.
     """
@@ -41,18 +39,6 @@ class DistLattice:
 
     def leq(self, a: int, b: int) -> bool:
         return self.order.leq(a, b)
-
-    @cached_property
-    def _op_tables(self):
-        return _tables(self.order)
-
-    @property
-    def meet(self) -> tuple[tuple[int, ...], ...]:
-        return self._op_tables[0]
-
-    @property
-    def join(self) -> tuple[tuple[int, ...], ...]:
-        return self._op_tables[1]
 
 
 def _join_irreducibles(P: Poset) -> list[int]:
@@ -207,11 +193,12 @@ def _hom_defect(L: DistLattice, K: DistLattice, mapping):
         return ("bottom", L.bottom)
     if mapping[L.top] != K.top:
         return ("top", L.top)
+    (l_meet, l_join), (k_meet, k_join) = _tables(L.order), _tables(K.order)
     for a in range(L.n):
         for b in range(a, L.n):
-            if mapping[L.meet[a][b]] != K.meet[mapping[a]][mapping[b]]:
+            if mapping[l_meet[a][b]] != k_meet[mapping[a]][mapping[b]]:
                 return ("meet", (a, b))
-            if mapping[L.join[a][b]] != K.join[mapping[a]][mapping[b]]:
+            if mapping[l_join[a][b]] != k_join[mapping[a]][mapping[b]]:
                 return ("join", (a, b))
     raise InternalError("prime pullbacks and table scan disagree")
 

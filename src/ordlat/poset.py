@@ -326,11 +326,6 @@ def product(P: Poset, Q: Poset, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
     return Poset(n, tuple(up), tuple(labels))
 
 
-def disjoint_union(P: Poset, Q: Poset) -> Poset:
-    up = list(P.up) + [row << P.n for row in Q.up]
-    return Poset(P.n + Q.n, tuple(up), P.labels + Q.labels)
-
-
 def down_sets(P: Poset, max_count: int = DEFAULT_DOWNSET_COUNT_CAP) -> list[int]:
     """All down-sets of P as bitmasks, sorted ascending.
 

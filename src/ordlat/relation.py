@@ -17,7 +17,6 @@ from .lattice import (
     lattice_from_poset,
 )
 from .duality import (
-    PrimeIdeal,
     _certified,
     _downset_lattice,
     _positions,
@@ -126,12 +125,12 @@ def relation_hom(f: LatticeHom, max_size: int = DEFAULT_MAX_SIZE) -> LatticeHom:
 
 def relation_prime_ideals(
     L: DistLattice, max_size: int = DEFAULT_MAX_SIZE
-) -> list[PrimeIdeal]:
-    """Closed-form prime ideals of the relation lattice: for each prime
-    ideal I of L, the pairs with both components in I, and the pairs with
-    first component in I.  Each is checked prime by a row lookup."""
-    PhiL, _, primes, _ = _relation_lattice(L, max_size)
-    return [PrimeIdeal(PhiL, m) for m in primes]
+) -> list[int]:
+    """Closed-form prime ideals of the relation lattice, as sorted masks:
+    for each prime ideal I of L, the pairs with both components in I, and
+    the pairs with first component in I.  Each is checked prime by a row
+    lookup."""
+    return _relation_lattice(L, max_size)[2]
 
 
 def _components(prs: PairMap, width: int):
@@ -154,18 +153,18 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
     """
     PhiL, prs, closed, (pull1, pull2) = _relation_lattice(L, max_size)
     direct = prime_ideals(PhiL)
-    if {I.members for I in direct} != set(closed):
+    if direct != closed:
         return False
-    prime_masks = {I.members for I in prime_ideals(L)}
+    prime_masks = set(prime_ideals(L))
     full = L.order.full_mask
     for S in direct:
         s1 = 0
         s2 = 0
-        for k in _bits(S.members):
+        for k in _bits(S):
             a, b = prs[k]
             s1 |= 1 << a
             s2 |= 1 << b
-        if pull1(s1) & pull2(s2) != S.members:
+        if pull1(s1) & pull2(s2) != S:
             return False
         if s1 not in prime_masks:
             return False
@@ -284,7 +283,7 @@ def relation_image_witness(
     # layer, is a pair of down-sets of Y
     h = fw.assembled(X).forward
     top, bottom = _pullback(h[1::2], X.n), _pullback(h[0::2], X.n)
-    images = _unit_images([I.members for I in ideals], L.n)
+    images = _unit_images(ideals, L.n)
     layered = [(top(u), bottom(u)) for u in images]
     carrier = [(ds[i], ds[j]) for i, j in prs]
     w = _certified(L.order, PhiK.order, layered, carrier, "image witness")

@@ -11,12 +11,14 @@ every pair or point, transposes and unit images by testing every bit,
 dimension by combining raw linear extensions or by a set cover over them,
 down-sets and prime ideals by filtering the power set, ideals, filters and
 prime ideals of a given mask on their definitions, lattice tables by
-searching all bounds (and checked against all bounds), inclusion orders by
+searching all bounds (and checked against all bounds), built here for every
+oracle that reads a meet or a join, inclusion orders by
 comparing every two masks, distributivity by trying every triple, the poset
 axioms by looping over every pair and triple, and the enumeration of poset
 classes by keying every candidate with the all-orderings key.
 """
 
+from functools import cache
 from itertools import combinations, permutations, product
 
 
@@ -430,20 +432,30 @@ def brute_down_sets(P):
     return out
 
 
+@cache
+def lattice_tables(up):
+    """``brute_meet_join`` of the lattice order with these up-rows,
+    computed once per order and shared by every caller, so kept as tuples:
+    a caller that needs to change them copies them first."""
+    meet, join = brute_meet_join(_Rows(up))
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
 def brute_prime_ideals(L):
     """Prime ideals by filtering all subsets against the definition: a
     nonempty proper down-set closed under joins whose complement is closed
     under meets; bitmasks sorted ascending."""
     n = L.n
+    meet, join = lattice_tables(L.order.up)
     out = []
     for mask in range(1, (1 << n) - 1):
         inside = [a for a in range(n) if (mask >> a) & 1]
         outside = [a for a in range(n) if not (mask >> a) & 1]
         if (
             all(not L.leq(x, a) for a in inside for x in outside)
-            and all((mask >> L.join[a][b]) & 1 for a in inside for b in inside)
+            and all((mask >> join[a][b]) & 1 for a in inside for b in inside)
             and all(
-                not (mask >> L.meet[a][b]) & 1 for a in outside for b in outside
+                not (mask >> meet[a][b]) & 1 for a in outside for b in outside
             )
         ):
             out.append(mask)
@@ -453,33 +465,36 @@ def brute_prime_ideals(L):
 def is_ideal(L, mask):
     """Nonempty down-set of L closed under binary join, on the
     definition."""
+    join = lattice_tables(L.order.up)[1]
     members = [a for a in range(L.n) if (mask >> a) & 1]
     return (
         bool(members)
         and all((mask >> x) & 1 for a in members for x in range(L.n)
                 if L.leq(x, a))
-        and all((mask >> L.join[a][b]) & 1 for a in members for b in members)
+        and all((mask >> join[a][b]) & 1 for a in members for b in members)
     )
 
 
 def is_filter(L, mask):
     """Nonempty up-set of L closed under binary meet, on the definition."""
+    meet = lattice_tables(L.order.up)[0]
     members = [a for a in range(L.n) if (mask >> a) & 1]
     return (
         bool(members)
         and all((mask >> x) & 1 for a in members for x in range(L.n)
                 if L.leq(a, x))
-        and all((mask >> L.meet[a][b]) & 1 for a in members for b in members)
+        and all((mask >> meet[a][b]) & 1 for a in members for b in members)
     )
 
 
 def is_prime_ideal(L, mask):
     """Proper ideal of L whose complement is closed under meet."""
+    meet = lattice_tables(L.order.up)[0]
     outside = [a for a in range(L.n) if not (mask >> a) & 1]
     return (
         bool(outside)
         and is_ideal(L, mask)
-        and not any((mask >> L.meet[a][b]) & 1 for a in outside for b in outside)
+        and not any((mask >> meet[a][b]) & 1 for a in outside for b in outside)
     )
 
 
@@ -544,11 +559,13 @@ def table_hom_defect(L, K, mapping):
         return ("bottom", L.bottom)
     if mapping[L.top] != K.top:
         return ("top", L.top)
+    l_meet, l_join = lattice_tables(L.order.up)
+    k_meet, k_join = lattice_tables(K.order.up)
     for a in range(L.n):
         for b in range(a, L.n):
-            if mapping[L.meet[a][b]] != K.meet[mapping[a]][mapping[b]]:
+            if mapping[l_meet[a][b]] != k_meet[mapping[a]][mapping[b]]:
                 return ("meet", (a, b))
-            if mapping[L.join[a][b]] != K.join[mapping[a]][mapping[b]]:
+            if mapping[l_join[a][b]] != k_join[mapping[a]][mapping[b]]:
                 return ("join", (a, b))
     return None
 

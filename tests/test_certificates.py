@@ -141,8 +141,8 @@ def test_e_hom_and_spec_hom_are_the_preimage_loops(X, Y, data):
     dsx, dsy = o.down_sets(X), o.down_sets(Y)
     assert [dsx[k] for k in f.mapping] == [brute_preimage(g, d) for d in dsy]
     # f: E(Y) -> E(X); spec f sends each prime ideal of E(X) to its preimage
-    src = [I.members for I in o.prime_ideals(f.source)]
-    tgt = [I.members for I in o.prime_ideals(f.target)]
+    src = o.prime_ideals(f.source)
+    tgt = o.prime_ideals(f.target)
     s = o.spec_hom(f)
     assert [src[k] for k in s.mapping] == [
         brute_preimage(f.mapping, m) for m in tgt
@@ -165,8 +165,8 @@ def test_spec_hom_on_every_small_hom_matches_the_preimage_loop():
     lattices.append(o.clopen_downset_lattice(o.antichain(2)))
     for a in lattices:
         for b in lattices:
-            src = [I.members for I in o.prime_ideals(a)]
-            tgt = [I.members for I in o.prime_ideals(b)]
+            src = o.prime_ideals(a)
+            tgt = o.prime_ideals(b)
             for f in o.enumerate_homs(a, b):
                 s = o.spec_hom(f)
                 assert [src[k] for k in s.mapping] == [
@@ -196,7 +196,7 @@ def test_unit_images_are_the_omitting_loop():
     for k in (3, 4, 5):
         lattices.append(o.relation_lattice(o.lattice_from_poset(o.chain(k)))[0])
     for L in lattices:
-        masks = [I.members for I in o.prime_ideals(L)]
+        masks = o.prime_ideals(L)
         assert _unit_images(masks, L.n) == brute_unit_images(masks, L.n)
 
 

@@ -20,6 +20,8 @@ from oracles import (
     brute_first_failing_triple,
     brute_first_missing_bound,
     brute_meet_join,
+    brute_prime_ideals,
+    is_prime_ideal,
     table_hom_defect,
 )
 
@@ -31,10 +33,11 @@ def diamond_m3():
 
 def test_chain4_is_min_max_lattice():
     L = o.lattice_from_poset(o.chain(4))
+    meet, join = lattice._tables(L.order)
     for a in range(4):
         for b in range(4):
-            assert L.meet[a][b] == min(a, b)
-            assert L.join[a][b] == max(a, b)
+            assert meet[a][b] == min(a, b)
+            assert join[a][b] == max(a, b)
     assert L.bottom == 0 and L.top == 3
 
 
@@ -69,24 +72,26 @@ def test_m3_not_distributive_with_witness():
 def test_order_vs_operations_agree():
     for P in (o.chain(4), o.cube(3)):
         L = o.lattice_from_poset(P)
+        meet, join = lattice._tables(L.order)
         for a in range(L.n):
             for b in range(L.n):
-                assert L.leq(a, b) == (L.meet[a][b] == a) == (L.join[a][b] == b)
+                assert L.leq(a, b) == (meet[a][b] == a) == (join[a][b] == b)
 
 
 def test_algebraic_laws():
     for P in (o.chain(5), o.cube(3), o.clopen_downset_lattice(o.chain(3)).order):
         L = o.lattice_from_poset(P)
+        meet, join = lattice._tables(L.order)
         n = L.n
         for a in range(n):
             for b in range(n):
-                assert L.meet[a][b] == L.meet[b][a]
-                assert L.join[a][b] == L.join[b][a]
-                assert L.meet[a][L.join[a][b]] == a  # absorption
-                assert L.join[a][L.meet[a][b]] == a
+                assert meet[a][b] == meet[b][a]
+                assert join[a][b] == join[b][a]
+                assert meet[a][join[a][b]] == a  # absorption
+                assert join[a][meet[a][b]] == a
                 for c in range(n):
-                    assert L.meet[L.meet[a][b]][c] == L.meet[a][L.meet[b][c]]
-                    assert L.join[L.join[a][b]][c] == L.join[a][L.join[b][c]]
+                    assert meet[meet[a][b]][c] == meet[a][meet[b][c]]
+                    assert join[join[a][b]][c] == join[a][join[b][c]]
 
 
 def test_hom_identity():
@@ -162,6 +167,44 @@ def test_hom_route_matches_table_scan_on_small_lattices():
     assert kinds == {
         None: 2642, "bottom": 1042, "top": 277, "meet": 40851, "join": 6851,
     }
+
+
+def test_oracles_build_their_own_tables(monkeypatch):
+    """With the library's table builder made to raise, the prime-ideal and
+    hom-defect oracles still agree with prime_ideals and _hom_defect on the
+    distributive lattices of 2-6 elements, built afresh: on every mask, and
+    per pair on the homs and ten seeded maps, eight keeping the bounds."""
+    orders = [P for n in range(2, 7) for P in o.enumerate_posets(n)
+              if _oracle_defect(P) is None]
+    lattices = [o.lattice_from_poset(P) for P in orders]
+    rng = random.Random(19)
+    cases = {}
+    for i, L in enumerate(lattices):
+        for j, K in enumerate(lattices):
+            maps = [f.mapping for f in o.enumerate_homs(L, K)]
+            for t in range(10):
+                mapping = [rng.randrange(K.n) for _ in range(L.n)]
+                if t < 8:
+                    mapping[L.bottom], mapping[L.top] = K.bottom, K.top
+                maps.append(tuple(mapping))
+            cases[i, j] = [(m, lattice._hom_defect(L, K, m)) for m in maps]
+    primes = [o.prime_ideals(L) for L in lattices]
+
+    def refuse(P):
+        raise AssertionError("an oracle called the library's table builder")
+
+    monkeypatch.setattr(lattice, "_tables", refuse)
+    lattices = [o.lattice_from_poset(P) for P in orders]
+    assert len(lattices) == 12
+    for L, expected in zip(lattices, primes):
+        assert brute_prime_ideals(L) == expected
+        assert [m for m in range(1 << L.n) if is_prime_ideal(L, m)] == expected
+    kinds = set()
+    for (i, j), pairs in cases.items():
+        for mapping, expected in pairs:
+            assert table_hom_defect(lattices[i], lattices[j], mapping) == expected
+            kinds.add(None if expected is None else expected[0])
+    assert kinds == {None, "bottom", "top", "meet", "join"}
 
 
 def test_hom_routes_that_disagree_raise_internal_error(monkeypatch):
@@ -281,7 +324,7 @@ def test_failed_birkhoff_check_on_a_distributive_lattice_is_internal(monkeypatch
 
 def test_table_oracle_finds_each_kind_of_defect():
     L = o.lattice_from_poset(o.chain(3))
-    meet, join = [list(r) for r in L.meet], [list(r) for r in L.join]
+    meet, join = brute_meet_join(L.order)
     assert brute_check_tables(L.order, meet, join, 0, 2) is None
     assert brute_check_tables(L.order, meet, join, 2, 2) == "bottom"
     assert brute_check_tables(L.order, meet, join, 0, 0) == "top"

@@ -191,14 +191,6 @@ def test_product_associates_up_to_iso():
     assert w is not None and w.validate(left, right)
 
 
-def test_disjoint_union():
-    assert o.disjoint_union(o.antichain(1), o.antichain(1)).up == o.antichain(2).up
-    two_chains = o.disjoint_union(o.chain(2), o.chain(2))
-    assert not o.is_connected(two_chains)
-    u = o.disjoint_union(o.antichain(2), o.antichain(3))
-    assert u.is_antichain() and u.n == 5
-
-
 def test_down_sets_small():
     assert o.down_sets(o.chain(2)) == [0, 1, 3]
     assert o.down_sets(o.antichain(2)) == [0, 1, 2, 3]

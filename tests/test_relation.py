@@ -5,10 +5,12 @@ import pytest
 
 import ordlat as o
 from ordlat import CapExceeded, InternalError, OrdlatError, relation
+from ordlat.lattice import _tables
 from oracles import (
     brute_check_tables,
     brute_dimension,
     brute_iso,
+    brute_prime_ideals,
     brute_relation_rows,
     partner_factor_by_two,
 )
@@ -117,17 +119,18 @@ def test_relation_lattice_is_a_sublattice_of_the_square():
     chains = [lat(o.chain(n)) for n in range(2, 13)]
     for L in small + chains:
         PhiL, prs = o.relation_lattice(L)
+        (meet, join), (phi_meet, phi_join) = _tables(L.order), _tables(PhiL.order)
         index = {pr: k for k, pr in enumerate(prs)}
         for k, (a, b) in enumerate(prs):
             for l, (c, d) in enumerate(prs):
-                assert PhiL.meet[k][l] == index[L.meet[a][c], L.meet[b][d]]
-                assert PhiL.join[k][l] == index[L.join[a][c], L.join[b][d]]
+                assert phi_meet[k][l] == index[meet[a][c], meet[b][d]]
+                assert phi_join[k][l] == index[join[a][c], join[b][d]]
         assert prs[PhiL.bottom] == (L.bottom, L.bottom)
         assert prs[PhiL.top] == (L.top, L.top)
     for L in small:
         PhiL, _ = o.relation_lattice(L)
         assert brute_check_tables(
-            PhiL.order, PhiL.meet, PhiL.join, PhiL.bottom, PhiL.top
+            PhiL.order, *_tables(PhiL.order), PhiL.bottom, PhiL.top
         ) is None
 
 
@@ -200,8 +203,16 @@ def test_relation_functor_laws_on_chains():
 def test_relation_prime_ideals_chain2_closed_form():
     # for the single prime ideal {0} of the 2-chain, the two families are
     # {(0,0)} and {(0,0),(0,1)}
-    ideals = o.relation_prime_ideals(lat(o.chain(2)))
-    assert [I.members for I in ideals] == [0b001, 0b011]
+    assert o.relation_prime_ideals(lat(o.chain(2))) == [0b001, 0b011]
+
+
+def test_relation_prime_ideals_match_the_power_set_oracle():
+    # Phi(chain k) has k(k+1)/2 elements: the oracle filters 2^3, 2^6 and
+    # 2^10 masks
+    for k in (2, 3, 4):
+        L = lat(o.chain(k))
+        PhiL, _ = o.relation_lattice(L)
+        assert o.relation_prime_ideals(L) == brute_prime_ideals(PhiL)
 
 
 def test_relation_prime_ideals_counts():

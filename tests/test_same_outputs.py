@@ -1,0 +1,68 @@
+"""``tools/same_outputs``: its diff of synthetic results, the ops it builds
+from a stand-in generator, and one run of this tree against itself on the
+ops that need no seed."""
+
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "same_outputs", _ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+
+def test_differences_name_each_op_and_field_that_differs():
+    parent = {"a": [0, "x\n", ""], "b": [1, "", "error: e\n"], "c": [0, "", ""],
+              "d": [2, "", ""]}
+    change = {"a": [0, "x\n", ""], "b": [1, "", "error: f\n"],
+              "c": ["raised TypeError: t", "y", "z"], "e": [0, "", ""]}
+    assert same_outputs.differences(parent, change) == [
+        ("b", ["stderr"]),
+        ("c", ["exit", "stdout", "stderr"]),
+        ("d", ["missing in change"]),
+        ("e", ["missing in parent"]),
+    ]
+    assert same_outputs.differences(parent, dict(parent)) == []
+    assert same_outputs.differences({"a": [1, "", ""]}, {"a": [2, "", ""]}) == [
+        ("a", ["exit"])]
+
+
+def test_ops_write_each_document_and_name_each_op(tmp_path):
+    doc = {"schema_version": "1", "kind": "poset", "size": 1, "labels": ["v"],
+           "leq_pairs": []}
+    gen = SimpleNamespace(
+        documents=lambda seed: [
+            {"argv": ["check", "@doc"], "doc": doc, "kind": "check_poset"},
+            {"argv": ["check", "@doc"], "text": "{", "kind": "malformed"},
+            {"argv": ["experiments", "shift", "--n-max", "1"],
+             "kind": "experiments"},
+        ],
+        sweep=lambda seed: [{"argv": ["experiments", "lemma51", "--n-max", "2"],
+                             "kind": "lemma51"}],
+    )
+    ops = same_outputs.tree_ops(gen, [7], str(tmp_path))
+    assert [name for name, _ in ops] == [
+        "documents seed 7 op 0 (check_poset)",
+        "documents seed 7 op 1 (malformed)",
+        "documents seed 7 op 2 (experiments)",
+        "sweep lemma51",
+        "dimtable",
+    ]
+    assert [argv for _, argv in ops] == [
+        ["check", str(tmp_path / "7-0.json")],
+        ["check", str(tmp_path / "7-1.json")],
+        ["experiments", "shift", "--n-max", "1"],
+        ["experiments", "lemma51", "--n-max", "2"],
+        ["experiments", "dimtable", "--n-max", "6"],
+    ]
+    assert json.loads((tmp_path / "7-0.json").read_text()) == doc
+    assert (tmp_path / "7-1.json").read_text() == "{"
+
+
+def test_this_tree_against_itself(capsys):
+    assert same_outputs.main(
+        ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
+    assert capsys.readouterr().out == "5 ops, 0 differ\n"

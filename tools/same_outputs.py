@@ -1,0 +1,125 @@
+"""Byte-identity gate between two source trees.
+
+    python3 tools/same_outputs.py --parent DIR --change DIR [--seeds 1 2 3 4]
+
+Each tree runs the same CLI ops through ``ordlat.cli.main`` in a child
+process of its own, importing the package from that tree's ``src/`` and
+generating the documents with that tree's ``perfbench/gen.py``: the
+``documents`` ops of each seed, the four ``sweep`` suites and
+``experiments dimtable --n-max 6``.  The temporary directory that holds a
+tree's documents reads ``<docs>`` in every output, and an op that raises
+out of ``main`` has the exception as its exit.  Prints each op whose exit,
+stdout or stderr differs, and which of them; exits 1 on any difference and
+0 when every op is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DIMTABLE = ["experiments", "dimtable", "--n-max", "6"]
+FIELDS = ("exit", "stdout", "stderr")
+
+
+def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every op, writing each document into docdir as the
+    benchmark does."""
+    ops = []
+    for seed in seeds:
+        for k, op in enumerate(gen.documents(seed)):
+            argv = op["argv"]
+            if "@doc" in argv:
+                path = os.path.join(docdir, f"{seed}-{k}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(op["text"] if "text" in op else json.dumps(op["doc"]))
+                argv = [path if a == "@doc" else a for a in argv]
+            ops.append((f"documents seed {seed} op {k} ({op['kind']})", argv))
+    ops += [(f"sweep {op['kind']}", op["argv"]) for op in gen.sweep(0)]
+    ops.append(("dimtable", DIMTABLE))
+    return ops
+
+
+def run_tree_ops() -> None:
+    """In the child: ``TREE OUT SEED...`` from sys.argv; writes
+    {name: [exit, stdout, stderr]} to OUT as JSON."""
+    tree, out, *seeds = sys.argv[1:]
+    sys.path.insert(0, os.path.join(tree, "perfbench"))
+    import gen
+    from ordlat.cli import main
+
+    results = {}
+    with tempfile.TemporaryDirectory() as docdir:
+        for name, argv in tree_ops(gen, [int(s) for s in seeds], docdir):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except Exception as exc:  # a traceback is an outcome to compare
+                    code = f"raised {type(exc).__name__}: {exc}"
+            results[name] = [code] + [
+                s.getvalue().replace(docdir, "<docs>") for s in (stdout, stderr)]
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
+def differences(parent: dict, change: dict) -> list[tuple[str, list[str]]]:
+    """(op, what differs) for every op whose results differ, in the
+    parent's op order and then the change's; an op run on one side only
+    differs in ``["missing in change"]`` or ``["missing in parent"]``."""
+    out = []
+    for name, ours in parent.items():
+        if name not in change:
+            out.append((name, ["missing in change"]))
+            continue
+        what = [f for f, a, b in zip(FIELDS, ours, change[name]) if a != b]
+        if what:
+            out.append((name, what))
+    out += [(name, ["missing in parent"]) for name in change if name not in parent]
+    return out
+
+
+def collect(trees: list[Path], seeds: list[int]) -> list[dict]:
+    """The results of every op in each tree, the children run side by
+    side."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, f"{k}.json") for k in range(len(trees))]
+        code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); "
+                "import same_outputs; same_outputs.run_tree_ops()")
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(tree), out, *map(str, seeds)],
+                cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src"),
+                                   PYTHONHASHSEED="0"))
+            for tree, out in zip(trees, outs)]
+        for tree, child in zip(trees, children):
+            if child.wait() != 0:
+                raise RuntimeError(f"ops failed to run in {tree}")
+        return [json.loads(Path(out).read_text()) for out in outs]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3, 4])
+    args = p.parse_args(argv)
+    parent, change = collect([args.parent.resolve(), args.change.resolve()],
+                             args.seeds)
+    diffs = differences(parent, change)
+    for name, what in diffs:
+        print(f"{name}: {', '.join(what)}")
+    print(f"{len(parent)} ops, {len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
