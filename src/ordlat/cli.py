@@ -22,12 +22,8 @@ from .errors import (
     ParseError,
 )
 from .lattice import lattice_from_poset
-from .duality import (
-    _downset_lattice,
-    _spectrum,
-    prime_ideals,
-)
-from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE
+from .duality import clopen_downset_lattice, prime_ideals, spec
+from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE, _bits
 from .relation import (
     FIXED_POINT_MODES,
     _class_id,
@@ -41,8 +37,6 @@ from .relation import (
     relation_poset,
     verify_relation_primes,
 )
-
-SUITES = ("corollary", "lemma51", "fixedpoints", "shift", "dimtable")
 
 
 def _nonnegative(text: str) -> int:
@@ -221,28 +215,27 @@ def cmd_primes(args) -> tuple[str, int]:
     ideals = prime_ideals(L)
     result = {
         "count": len(ideals),
-        "prime_ideals": [[x for x in range(P.n) if (m >> x) & 1] for m in ideals],
+        "prime_ideals": [list(_bits(m)) for m in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 
 
 def cmd_spec(args) -> tuple[str, int]:
     _, P = _load(args.input, args.max_size)
-    L = lattice_from_poset(P)
-    ideals = prime_ideals(L)
+    X, ideals = spec(lattice_from_poset(P))
     result = {
-        "document": docio.poset_to_document(_spectrum(L, ideals)),
-        "prime_ideals": [[x for x in range(P.n) if (m >> x) & 1] for m in ideals],
+        "document": docio.poset_to_document(X),
+        "prime_ideals": [list(_bits(m)) for m in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 
 
 def cmd_downsets(args) -> tuple[str, int]:
     _, P = _load(args.input, args.max_size)
-    E, ds = _downset_lattice(P, args.max_size)
+    E, ds = clopen_downset_lattice(P, args.max_size)
     result = {
         "document": docio.poset_to_document(E.order, kind="lattice"),
-        "down_sets": [[x for x in range(P.n) if (m >> x) & 1] for m in ds],
+        "down_sets": [list(_bits(m)) for m in ds],
     }
     return _report(args, result, {"input": args.input}), 0
 
@@ -330,18 +323,24 @@ def _suite_dimtable(n_max: int, max_dim_size: int) -> str:
     return buf.getvalue()
 
 
+# the suites in the order that ``--help`` and usage errors list them; each
+# takes (n_max, max_size) and returns (result, exit code), but dimtable,
+# which takes (n_max, max_dim_size) and returns its CSV
+SUITES = {
+    "corollary": _suite_corollary,
+    "lemma51": _suite_lemma51,
+    "fixedpoints": _suite_fixedpoints,
+    "shift": _suite_shift,
+    "dimtable": _suite_dimtable,
+}
+
+
 def cmd_experiments(args) -> tuple[str, int]:
-    extra = {"suite": args.suite, "n_max": args.n_max}
+    suite = SUITES[args.suite]
     if args.suite == "dimtable":
-        return _suite_dimtable(args.n_max, args.max_dim_size), 0
-    if args.suite == "corollary":
-        result, code = _suite_corollary(args.n_max, args.max_size)
-    elif args.suite == "lemma51":
-        result, code = _suite_lemma51(args.n_max, args.max_size)
-    elif args.suite == "fixedpoints":
-        result, code = _suite_fixedpoints(args.n_max, args.max_size)
-    else:
-        result, code = _suite_shift(args.n_max, args.max_size)
+        return suite(args.n_max, args.max_dim_size), 0
+    result, code = suite(args.n_max, args.max_size)
+    extra = {"suite": args.suite, "n_max": args.n_max}
     return _report(args, result, extra), code
 
 

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
 from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, _pullback
-from .poset import _transpose, down_sets
+from .poset import _transpose, _with_down, down_sets
 
 
 def prime_ideals(L: DistLattice) -> list[int]:
@@ -51,19 +51,14 @@ def _inclusion_order(masks: list[int], names) -> Poset:
             row &= lacking[x]
         down.append(row)
         labels.append("{" + ",".join(names[x] for x in members) + "}")
-    P = Poset(len(masks), tuple(up), tuple(labels))
-    P.__dict__["down_masks"] = tuple(down)
-    return P
+    return _with_down(len(masks), up, down, labels)
 
 
-def _spectrum(L: DistLattice, ideals: list[int]) -> Poset:
-    """Poset of the given prime ideals of L under inclusion, in list order."""
-    return _inclusion_order(ideals, L.order.labels)
-
-
-def spec(L: DistLattice) -> Poset:
-    """Poset of prime ideals of L under inclusion, in bitmask order."""
-    return _spectrum(L, prime_ideals(L))
+def spec(L: DistLattice) -> tuple[Poset, list[int]]:
+    """The spectrum of L, with its carrier: the poset of prime ideals of L
+    under inclusion, point k being the k-th of ``prime_ideals(L)``."""
+    ideals = prime_ideals(L)
+    return _inclusion_order(ideals, L.order.labels), ideals
 
 
 @dataclass(frozen=True)
@@ -82,14 +77,13 @@ class SpectrumMap:
 def spec_hom(f: LatticeHom) -> SpectrumMap:
     """Contravariant spectrum map I |-> f^{-1}(I), from spec(target of f)
     into spec(source of f)."""
-    src_ideals = prime_ideals(f.source)
-    tgt_ideals = prime_ideals(f.target)
+    target, src_ideals = spec(f.source)
+    source, tgt_ideals = spec(f.target)
     pull = _pullback(f.mapping, f.target.n)
     mapping = _positions(
         [pull(I) for I in tgt_ideals], src_ideals, "preimage of a prime ideal"
     )
-    source = _spectrum(f.target, tgt_ideals)
-    out = SpectrumMap(source, _spectrum(f.source, src_ideals), tuple(mapping))
+    out = SpectrumMap(source, target, tuple(mapping))
     if not out.validate():
         raise InternalError("spectrum map failed to be order-preserving")
     return out
@@ -97,18 +91,12 @@ def spec_hom(f: LatticeHom) -> SpectrumMap:
 
 def clopen_downset_lattice(
     X: Poset, max_size: int = DEFAULT_MAX_SIZE
-) -> DistLattice:
-    """Lattice of all down-sets of X: meet is intersection, join is union."""
-    return _downset_lattice(X, max_size)[0]
-
-
-def _downset_lattice(
-    X: Poset, max_size: int = DEFAULT_MAX_SIZE
 ) -> tuple[DistLattice, list[int]]:
-    """The down-set lattice of X, with its carrier: the down-sets of X as
-    sorted bitmasks, element k of the lattice being the k-th.  A lattice of
-    more than max_size elements is refused while its carrier is being
-    enumerated, before any table is built."""
+    """The lattice of all down-sets of X (meet is intersection, join is
+    union), with its carrier: the down-sets of X as sorted bitmasks, element
+    k of the lattice being the k-th.  A lattice of more than max_size
+    elements is refused while its carrier is being enumerated, before any
+    table is built."""
     if X.n == 0:
         raise DegenerateBounds("empty space has a one-element down-set lattice")
     try:
@@ -125,8 +113,8 @@ def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:
     """Down-set lattice hom induced by an order-preserving g: X -> Y, acting
     by preimage: a down-set of Y maps to its g-preimage in X."""
     g = _order_preserving(X, Y, g)
-    EX, dsx = _downset_lattice(X)
-    EY, dsy = _downset_lattice(Y)
+    EX, dsx = clopen_downset_lattice(X)
+    EY, dsy = clopen_downset_lattice(Y)
     pull = _pullback(g, Y.n)
     return hom_new(
         EY, EX, _positions([pull(d) for d in dsy], dsx, "preimage of a down-set")
@@ -188,9 +176,9 @@ def _unit_images(masks: list[int], width: int) -> list[int]:
 def unit_lattice(L: DistLattice) -> IsoWitness:
     """The duality unit a |-> {prime ideals not containing a}, certified as
     an order isomorphism from L onto the down-set lattice of its spectrum."""
-    ideals = prime_ideals(L)
+    X, ideals = spec(L)
     # Birkhoff: the spectrum of L has exactly |L| down-sets
-    E, ds = _downset_lattice(_spectrum(L, ideals), L.n)
+    E, ds = clopen_downset_lattice(X, L.n)
     images = _unit_images(ideals, L.n)
     return _certified(L.order, E.order, images, ds, "duality unit")
 
@@ -198,7 +186,7 @@ def unit_lattice(L: DistLattice) -> IsoWitness:
 def unit_space(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     """The co-unit x |-> {down-sets omitting x}, certified as an order
     isomorphism from X onto the spectrum of its down-set lattice."""
-    E, ds = _downset_lattice(X, max_size)
-    ideals = prime_ideals(E)
+    E, ds = clopen_downset_lattice(X, max_size)
+    S, ideals = spec(E)
     images = _unit_images(ds, X.n)
-    return _certified(X, _spectrum(E, ideals), images, ideals, "duality co-unit")
+    return _certified(X, S, images, ideals, "duality co-unit")

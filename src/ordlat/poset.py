@@ -173,6 +173,14 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
+def _with_down(n: int, up, down, labels) -> Poset:
+    """The poset with these up-rows and labels, its down-rows set to
+    ``down`` as it is built, so they are never transposed."""
+    P = Poset(n, tuple(up), tuple(labels))
+    P.__dict__["down_masks"] = tuple(down)
+    return P
+
+
 @dataclass(frozen=True)
 class IsoWitness:
     """Certified order isomorphism: forward/backward index bijections."""
@@ -250,9 +258,7 @@ def poset_new(size: int, pairs, labels=None) -> Poset:
         down[k] = row
     if labels is None:
         labels = _default_labels(size)
-    P = Poset(size, tuple(up), tuple(labels))
-    P.__dict__["down_masks"] = tuple(down)
-    return P
+    return _with_down(size, up, down, labels)
 
 
 def _raise_on_cycle(size: int, succ, waiting) -> None:
@@ -314,16 +320,43 @@ def product(P: Poset, Q: Poset, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
     n = P.n * Q.n
     if n > max_size:
         raise CapExceeded(f"product has {n} elements, cap {max_size}")
-    up = []
-    labels = []
-    for p in range(P.n):
-        for q in range(Q.n):
-            row = 0
-            for p2 in _bits(P.up[p]):
-                row |= Q.up[q] << (p2 * Q.n)
-            up.append(row)
-            labels.append(f"({P.labels[p]},{Q.labels[q]})")
-    return Poset(n, tuple(up), tuple(labels))
+    return _pair_order(P, Q, [(p, q) for p in range(P.n) for q in range(Q.n)])
+
+
+def _pair_order(P: Poset, Q: Poset, prs) -> Poset:
+    """The pairs (p, q) of prs, p in P and q in Q, under the coordinatewise
+    order, in list order, each labelled "(p,q)"; its down-rows are set as
+    its up-rows are.
+
+    The pairs above (p, q) are those whose first component is above p and
+    whose second is above q: the and of the or of first[c] over c >= p and
+    of second[d] over d >= q.  Down-rows likewise."""
+    # first[c] / second[d]: the pairs whose first / second component is c / d
+    first = [0] * P.n
+    second = [0] * Q.n
+    for k, (p, q) in enumerate(prs):
+        first[p] |= 1 << k
+        second[q] |= 1 << k
+
+    def lift(rows, parts):
+        out = []
+        for row in rows:
+            m = 0
+            while row:
+                low = row & -row
+                m |= parts[low.bit_length() - 1]
+                row ^= low
+            out.append(m)
+        return out
+
+    above1, below1 = lift(P.up, first), lift(P.down_masks, first)
+    above2, below2 = lift(Q.up, second), lift(Q.down_masks, second)
+    return _with_down(
+        len(prs),
+        [above1[p] & above2[q] for p, q in prs],
+        [below1[p] & below2[q] for p, q in prs],
+        [f"({P.labels[p]},{Q.labels[q]})" for p, q in prs],
+    )
 
 
 def down_sets(P: Poset, max_count: int = DEFAULT_DOWNSET_COUNT_CAP) -> list[int]:
@@ -764,9 +797,7 @@ def _decoded(key: tuple[int, ...], labels: tuple[str, ...]) -> Poset:
                 up[k] |= 1 << j
                 down[j] |= bit
             code ^= 1 << t
-    P = Poset(n, tuple(up), labels)
-    P.__dict__["down_masks"] = tuple(down)
-    return P
+    return _with_down(n, up, down, labels)
 
 
 @lru_cache(maxsize=None)
@@ -785,9 +816,8 @@ def _enumerate_cached(n: int) -> tuple[Poset, ...]:
             up = list(Q.up) + [bit]
             for i in _bits(D):
                 up[i] |= bit
-            cand = Poset(n, tuple(up), labels)
             # the new element is maximal: no old down-row gains it
-            cand.__dict__["down_masks"] = Q.down_masks + (D | bit,)
+            cand = _with_down(n, up, Q.down_masks + (D | bit,), labels)
             key = _canonical_chunks(cand)[0]
             if key not in out:
                 out[key] = _decoded(key, labels)

@@ -18,11 +18,11 @@ from .lattice import (
 )
 from .duality import (
     _certified,
-    _downset_lattice,
     _positions,
-    _spectrum,
     _unit_images,
+    clopen_downset_lattice,
     prime_ideals,
+    spec,
 )
 from .poset import (
     DEFAULT_DIMENSION_CAP,
@@ -32,6 +32,7 @@ from .poset import (
     Poset,
     _bits,
     _extend,
+    _pair_order,
     _pullback,
     chain,
     cube,
@@ -50,37 +51,13 @@ PairMap = tuple[tuple[int, int], ...]
 def relation_poset(
     P: Poset, max_size: int = DEFAULT_MAX_SIZE
 ) -> tuple[Poset, PairMap]:
-    """The related pairs (a, b), a <= b, of P as a poset under the
-    coordinatewise order; pairs indexed lexicographically."""
+    """The related pairs (a, b), a <= b, of P under the coordinatewise
+    order: the subposet of P x P on them, pairs indexed lexicographically."""
     m = P.relation_count()
     if m > max_size:
         raise CapExceeded(f"relation poset has {m} elements, cap {max_size}")
     prs = P.pairs()
-    # first[c] / second[d]: the pairs whose first / second component is c / d
-    first = [0] * P.n
-    second = [0] * P.n
-    for k, (c, d) in enumerate(prs):
-        first[c] |= 1 << k
-        second[d] |= 1 << k
-    # above1[a] / above2[b]: the pairs whose first / second component is
-    # >= a / >= b; up-row (a, b) is their intersection, and down-row (a, b)
-    # likewise that of below1[a] and below2[b]
-    above1 = [0] * P.n
-    above2 = [0] * P.n
-    below1 = [0] * P.n
-    below2 = [0] * P.n
-    for a, (up_a, down_a) in enumerate(zip(P.up, P.down_masks)):
-        for c in _bits(up_a):
-            above1[a] |= first[c]
-            above2[a] |= second[c]
-        for c in _bits(down_a):
-            below1[a] |= first[c]
-            below2[a] |= second[c]
-    up = tuple(above1[a] & above2[b] for a, b in prs)
-    labels = tuple(f"({P.labels[a]},{P.labels[b]})" for a, b in prs)
-    RP = Poset(m, up, labels)
-    RP.__dict__["down_masks"] = tuple(below1[a] & below2[b] for a, b in prs)
-    return RP, tuple(prs)
+    return _pair_order(P, P, prs), tuple(prs)
 
 
 def relation_lattice(
@@ -183,9 +160,9 @@ def relation_downset_iso(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitne
     with e on the bottom layer; the inverse splits a down-set of X x 2 into
     its two layers (top layer first).  Both directions are validated.
     """
-    E, ds = _downset_lattice(X, max_size)
+    E, ds = clopen_downset_lattice(X, max_size)
     PhiE, prs = relation_lattice(E, max_size=max_size)
-    E2, ds2 = _downset_lattice(product(X, chain(2), max_size), max_size)
+    E2, ds2 = clopen_downset_lattice(product(X, chain(2), max_size), max_size)
     layered = []
     for i, j in prs:
         c = 0
@@ -271,18 +248,17 @@ def relation_image_witness(
     the relation lattice of K onto L: it inverts the duality unit L -> E(X)
     followed by the pull-back to E(Y x 2) and the split into two layers.
     """
-    ideals = prime_ideals(L)
-    X = _spectrum(L, ideals)
+    X, ideals = spec(L)
     fw = factor_by_two(X)
     if fw is None:
         return None
-    K, ds = _downset_lattice(fw.factor, max_size)
+    K, ds = clopen_downset_lattice(fw.factor, max_size)
     PhiK, prs = relation_lattice(K, max_size=max_size)
-    # (y, q) of Y x 2 sits at 2y + q and goes to h[2y + q] of X: the unit
-    # image of a, pulled back through the top (q = 1) and the bottom (q = 0)
-    # layer, is a pair of down-sets of Y
-    h = fw.assembled(X).forward
-    top, bottom = _pullback(h[1::2], X.n), _pullback(h[0::2], X.n)
+    # y of Y is the y-th point of the block, (y, 0) of Y x 2, and its
+    # partner pairing[y] is (y, 1): the unit image of a, pulled back through
+    # the top and the bottom layer, is a pair of down-sets of Y
+    top = _pullback(fw.pairing, X.n)
+    bottom = _pullback(list(_bits(fw.block)), X.n)
     images = _unit_images(ideals, L.n)
     layered = [(top(u), bottom(u)) for u in images]
     carrier = [(ds[i], ds[j]) for i, j in prs]

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here deliberately avoids the library's own algorithms: the
-closure of generating pairs by Warshall's triple loop, covers, relation rows
-and lattice bounds on the definitions, antichains by subset search,
+closure of generating pairs by Warshall's triple loop, covers, relation rows,
+the up-rows, down-rows and labels of products and relation posets, and
+lattice bounds on the definitions, antichains by subset search,
 isomorphism and the canonical key by trying every bijection (the key also by
 a search over every least prefix, merging prefixes by their codes),
 factorizations by two by a partner search that tests every placed pair,
@@ -84,6 +85,21 @@ def brute_relation_rows(P):
         )
         for a, b in prs
     ]
+
+
+def brute_pair_order(P, Q, prs):
+    """Up-rows, down-rows and labels of the pairs prs, (a, b) with a in P
+    and b in Q, under the coordinatewise order, in list order: each pair
+    compared with every pair by ``leq``."""
+    up = [
+        sum(1 << k for k, (c, d) in enumerate(prs) if P.leq(a, c) and Q.leq(b, d))
+        for a, b in prs
+    ]
+    down = [
+        sum(1 << k for k, (c, d) in enumerate(prs) if P.leq(c, a) and Q.leq(d, b))
+        for a, b in prs
+    ]
+    return up, down, [f"({P.labels[a]},{Q.labels[b]})" for a, b in prs]
 
 
 def brute_first_missing_bound(P):

@@ -13,7 +13,6 @@ from ordlat import InternalError, NotOrderPreserving
 from ordlat.duality import (
     SpectrumMap,
     _certified,
-    _downset_lattice,
     _order_preserving,
     _positions,
     _unit_images,
@@ -162,7 +161,7 @@ def test_e_hom_reads_the_width_off_the_target():
 
 def test_spec_hom_on_every_small_hom_matches_the_preimage_loop():
     lattices = [o.lattice_from_poset(o.chain(n)) for n in (2, 3, 4)]
-    lattices.append(o.clopen_downset_lattice(o.antichain(2)))
+    lattices.append(o.clopen_downset_lattice(o.antichain(2))[0])
     for a in lattices:
         for b in lattices:
             src = o.prime_ideals(a)
@@ -190,7 +189,7 @@ def test_unit_images_are_the_omitting_loop():
     lattices = []
     for n in range(1, 5):
         for X in o.enumerate_posets(n):
-            E, ds = _downset_lattice(X)
+            E, ds = o.clopen_downset_lattice(X)
             assert _unit_images(ds, X.n) == brute_unit_images(ds, X.n)
             lattices.append(E)
     for k in (3, 4, 5):

@@ -422,6 +422,39 @@ def test_valid_lattices_build_no_tables(capsys, monkeypatch):
     assert built == [5]
 
 
+def test_commands_build_spectra_and_downset_lattices_by_the_public_routes(
+    capsys, monkeypatch
+):
+    """With ``duality.spec`` and ``duality.clopen_downset_lattice`` wrapped
+    at every module that holds them, as the benchmark's tracer wraps public
+    functions, `spec`, `downsets`, `image` and `experiments lemma51` are
+    seen to build their spectra and down-set lattices through them."""
+    import ordlat
+    from ordlat import duality, lattice, poset, relation
+
+    seen = []
+    for name in ("spec", "clopen_downset_lattice"):
+        real = getattr(duality, name)
+
+        def traced(*args, _name=name, _real=real, **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+
+        for holder in (ordlat, poset, lattice, duality, relation, docio, cli):
+            if vars(holder).get(name) is real:
+                monkeypatch.setattr(holder, name, traced)
+    for argv, routes in [
+        (["spec", fx("chain3_lattice.json")], {"spec"}),
+        (["downsets", fx("cube2_poset.json")], {"clopen_downset_lattice"}),
+        (["image", fx("e_cube2_lattice.json")],
+         {"spec", "clopen_downset_lattice"}),
+        (["experiments", "lemma51", "--n-max", "2"], {"clopen_downset_lattice"}),
+    ]:
+        seen.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert set(seen) == routes, argv
+
+
 def test_image_yes_e_cube2(capsys):
     code, out, _ = run(capsys, "image", fx("e_cube2_lattice.json"))
     assert code == 0

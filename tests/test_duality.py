@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 import ordlat as o
 from ordlat import DegenerateBounds, OrdlatError
-from ordlat.duality import _downset_lattice, _inclusion_order
+from ordlat.duality import _inclusion_order
 from ordlat.lattice import _tables
 from oracles import (
     brute_check_tables,
+    brute_down_sets,
     brute_inclusion_order,
     brute_prime_ideals,
     is_filter,
@@ -38,16 +39,20 @@ def test_prime_ideals_of_chains():
 
 
 def test_prime_ideals_match_power_set_oracle():
+    """The prime ideals, and the spectrum built on them: point k of spec L
+    is the k-th prime ideal, under inclusion."""
     checked = 0
     for n in range(2, 8):
         for L in lattice_valid(o.enumerate_posets(n)):
-            assert o.prime_ideals(L) == brute_prime_ideals(L)
+            X, ideals = o.spec(L)
+            assert ideals == o.prime_ideals(L) == brute_prime_ideals(L)
+            assert list(X.up) == brute_inclusion_order(ideals)
             checked += 1
     assert checked == 20
 
 
 def test_prime_ideals_boolean4():
-    B = o.clopen_downset_lattice(o.antichain(2))
+    B = o.clopen_downset_lattice(o.antichain(2))[0]
     ideals = o.prime_ideals(B)
     assert len(ideals) == 2
     for I in ideals:
@@ -69,11 +74,11 @@ def test_prime_iff_complement_filter():
 
 
 def test_spec_examples():
-    assert o.spec(lat(o.chain(3))).is_chain()
-    assert o.spec(lat(o.chain(3))).n == 2
-    B = o.clopen_downset_lattice(o.antichain(2))
-    assert o.spec(B).is_antichain() and o.spec(B).n == 2
-    assert o.spec(lat(o.chain(2))).n == 1
+    assert o.spec(lat(o.chain(3)))[0].is_chain()
+    assert o.spec(lat(o.chain(3)))[0].n == 2
+    B = o.clopen_downset_lattice(o.antichain(2))[0]
+    assert o.spec(B)[0].is_antichain() and o.spec(B)[0].n == 2
+    assert o.spec(lat(o.chain(2)))[0].n == 1
 
 
 def test_spec_hom_identity_and_collapse():
@@ -103,11 +108,11 @@ def test_spec_hom_contravariant_on_chains():
 
 
 def test_clopen_downset_lattice_examples():
-    assert o.clopen_downset_lattice(o.chain(2)).order.is_chain()
-    assert o.clopen_downset_lattice(o.chain(2)).n == 3
-    B = o.clopen_downset_lattice(o.antichain(2))
+    assert o.clopen_downset_lattice(o.chain(2))[0].order.is_chain()
+    assert o.clopen_downset_lattice(o.chain(2))[0].n == 3
+    B = o.clopen_downset_lattice(o.antichain(2))[0]
     assert B.n == 4
-    assert o.clopen_downset_lattice(o.cube(3)).n == 20
+    assert o.clopen_downset_lattice(o.cube(3))[0].n == 20
 
 
 @st.composite
@@ -137,11 +142,14 @@ def test_inclusion_order_matches_pairwise_oracle(drawn):
 
 
 def test_downset_lattice_tables_are_intersection_and_union():
-    """On every poset of at most 4 points the tables pass the table oracle,
-    and meet and join are intersection and union of the down-sets."""
+    """On every poset of at most 4 points element k of E(X) is the k-th
+    down-set, under inclusion; the tables pass the table oracle, and meet
+    and join are intersection and union of the down-sets."""
     for n in range(1, 5):
         for X in o.enumerate_posets(n):
-            E, ds = _downset_lattice(X)
+            E, ds = o.clopen_downset_lattice(X)
+            assert ds == brute_down_sets(X)
+            assert list(E.order.up) == brute_inclusion_order(ds)
             meet, join = _tables(E.order)
             assert brute_check_tables(E.order, meet, join, E.bottom, E.top) is None
             index = {m: k for k, m in enumerate(ds)}
@@ -222,31 +230,31 @@ def test_unit_lattice_examples():
 
 
 def test_unit_lattice_free_on_three_generators():
-    E = o.clopen_downset_lattice(o.cube(3))
+    E = o.clopen_downset_lattice(o.cube(3))[0]
     w = o.unit_lattice(E)
-    S = o.spec(E)
-    assert w.validate(E.order, o.clopen_downset_lattice(S).order)
+    S = o.spec(E)[0]
+    assert w.validate(E.order, o.clopen_downset_lattice(S)[0].order)
 
 
 def test_unit_space_examples():
     for X in (o.antichain(1), o.antichain(2), o.chain(3)):
         w = o.unit_space(X)
-        E = o.clopen_downset_lattice(X)
-        assert w.validate(X, o.spec(E))
+        E = o.clopen_downset_lattice(X)[0]
+        assert w.validate(X, o.spec(E)[0])
 
 
 def test_spectrum_size_matches_space():
     for n in (1, 2, 3, 4):
         for X in o.enumerate_posets(n):
-            E = o.clopen_downset_lattice(X)
-            assert o.spec(E).n == X.n
+            E = o.clopen_downset_lattice(X)[0]
+            assert o.spec(E)[0].n == X.n
 
 
 def test_birkhoff_cross_check_join_irreducibles_vs_spec():
     for n in range(2, 6):
         for L in lattice_valid(o.enumerate_posets(n)):
             ji = o.join_irreducibles(L)
-            S = o.spec(L)
+            S = o.spec(L)[0]
             w = o.is_isomorphic(ji, S)
             assert w is not None and w.validate(ji, S)
 

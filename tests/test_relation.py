@@ -10,8 +10,10 @@ from oracles import (
     brute_check_tables,
     brute_dimension,
     brute_iso,
+    brute_pair_order,
     brute_prime_ideals,
     brute_relation_rows,
+    brute_transpose,
     partner_factor_by_two,
 )
 
@@ -96,10 +98,71 @@ def test_relation_poset_matches_oracle():
         ]
 
 
+def random_labelled_posets(rng, count, n_max):
+    """Posets of 1 to n_max points on shuffled pairs, labelled by random
+    letters; half keep the down-rows the closure sets, half are relabelled
+    copies without them."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = rng.uniform(0.1, 0.6)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        labels = ["".join(rng.choices("abxy", k=rng.randint(1, 2))) for _ in perm]
+        P = o.poset_new(n, pairs, labels)
+        out.append(P if rng.random() < 0.5 else shuffled(rng, P))
+    return out
+
+
+def test_products_and_relation_posets_match_the_pair_order_oracle():
+    """Up-rows, down-rows and labels of P x Q and Phi(P), on every pair of
+    posets of at most 3 points and on seeded random labelled posets."""
+    small = [P for n in range(1, 4) for P in o.enumerate_posets(n)]
+    rng = random.Random(20)
+    mixed = random_labelled_posets(rng, 40, 8)
+    pairs = [(P, Q) for P in small for Q in small]
+    pairs += [(mixed[k], mixed[k + 1]) for k in range(0, len(mixed), 2)]
+    for P, Q in pairs:
+        prs = [(a, b) for a in range(P.n) for b in range(Q.n)]
+        R = o.product(P, Q)
+        assert (list(R.up), list(R.down_masks), list(R.labels)) == (
+            brute_pair_order(P, Q, prs))
+    for P in small + mixed:
+        RP, prs = o.relation_poset(P)
+        assert (list(RP.up), list(RP.down_masks), list(RP.labels)) == (
+            brute_pair_order(P, P, list(prs)))
+
+
+def test_products_and_relation_posets_hand_over_their_down_rows(monkeypatch):
+    """Given factors whose down-rows are known, P x Q and Phi(P) set their
+    own down-rows as they are built: reading them transposes nothing."""
+    transposed = []
+    real = o.poset._transpose
+
+    def counted(rows, width):
+        transposed.append(width)
+        return real(rows, width)
+
+    rng = random.Random(21)
+    two = o.chain(2)
+    factors = random_labelled_posets(rng, 10, 7) + [o.cube(3), two]
+    for P in factors:
+        P.down_masks
+    monkeypatch.setattr(o.poset, "_transpose", counted)
+    built = [o.product(X, two) for X in factors]
+    built += [o.relation_poset(X)[0] for X in factors]
+    rows = [R.down_masks for R in built]
+    assert transposed == []
+    monkeypatch.undo()
+    assert rows == [tuple(brute_transpose(R.up, R.n)) for R in built]
+
+
 def test_relation_lattice_sizes():
     assert o.relation_lattice(lat(o.chain(2)))[0].n == 3
     assert o.relation_lattice(lat(o.chain(3)))[0].n == 6
-    B = o.clopen_downset_lattice(o.antichain(2))
+    B = o.clopen_downset_lattice(o.antichain(2))[0]
     assert o.relation_lattice(B)[0].n == 9
 
 
@@ -219,7 +282,7 @@ def test_relation_prime_ideals_counts():
     for n in range(2, 6):
         L = lat(o.chain(n))
         assert len(o.relation_prime_ideals(L)) == 2 * len(o.prime_ideals(L))
-    B = o.clopen_downset_lattice(o.antichain(2))
+    B = o.clopen_downset_lattice(o.antichain(2))[0]
     assert len(o.relation_prime_ideals(B)) == 4
 
 
@@ -248,8 +311,8 @@ def test_verify_relation_primes_small():
     for L in (
         lat(o.chain(2)),
         lat(o.chain(4)),
-        o.clopen_downset_lattice(o.antichain(2)),
-        o.clopen_downset_lattice(o.chain(3)),
+        o.clopen_downset_lattice(o.antichain(2))[0],
+        o.clopen_downset_lattice(o.chain(3))[0],
     ):
         assert o.verify_relation_primes(L)
 
@@ -265,7 +328,7 @@ def test_verify_relation_primes_pulls_components_once(monkeypatch):
         return real(prs, width)
 
     monkeypatch.setattr(relation, "_components", counted)
-    for L in (lat(o.chain(3)), o.clopen_downset_lattice(o.antichain(2))):
+    for L in (lat(o.chain(3)), o.clopen_downset_lattice(o.antichain(2))[0]):
         calls.clear()
         assert o.verify_relation_primes(L)
         assert calls == [L.n]
@@ -283,7 +346,7 @@ def test_verify_relation_primes_random_larger():
             X = rng.choice(o.enumerate_posets(3))
             perm = list(range(3))
             rng.shuffle(perm)
-            L = o.clopen_downset_lattice(X.relabel(perm))
+            L = o.clopen_downset_lattice(X.relabel(perm))[0]
             if L.n <= 5:
                 continue
         elif kind == 1:
@@ -303,15 +366,15 @@ def test_relation_downset_iso_frozen_chain2():
 
 def test_relation_downset_iso_singleton():
     w = o.relation_downset_iso(o.antichain(1))
-    E = o.clopen_downset_lattice(o.antichain(1))
+    E = o.clopen_downset_lattice(o.antichain(1))[0]
     Phi, _ = o.relation_lattice(E)
     prod = o.product(o.antichain(1), o.chain(2))
-    assert w.validate(Phi.order, o.clopen_downset_lattice(prod).order)
+    assert w.validate(Phi.order, o.clopen_downset_lattice(prod)[0].order)
     assert Phi.n == 3
 
 
 def test_relation_downset_iso_counts():
-    Phi, _ = o.relation_lattice(o.clopen_downset_lattice(o.chain(2)))
+    Phi, _ = o.relation_lattice(o.clopen_downset_lattice(o.chain(2))[0])
     assert Phi.n == 6  # matches the down-set lattice of the square
     o.relation_downset_iso(o.chain(2))
 
@@ -371,7 +434,7 @@ def test_factor_by_two_is_the_partner_search(monkeypatch):
         posets.append(shuffled(rng, o.product(Y, o.chain(2))))
         posets.append(shuffled(rng, random_poset(rng, rng.randint(1, 14))))
     PhiL, _ = o.relation_lattice(lat(o.chain(44)))
-    posets.append(o.spec(PhiL))
+    posets.append(o.spec(PhiL)[0])
     calls = []
     real = o.Poset.leq
 
@@ -430,7 +493,7 @@ def test_image_witness_examples():
     K, w = o.relation_image_witness(lat(o.chain(3)))
     assert K.n == 2
     assert o.relation_image_witness(lat(o.chain(4))) is None
-    K, w = o.relation_image_witness(o.clopen_downset_lattice(o.cube(2)))
+    K, w = o.relation_image_witness(o.clopen_downset_lattice(o.cube(2))[0])
     assert o.is_isomorphic(K.order, o.chain(3)) is not None
 
 
@@ -506,9 +569,10 @@ def test_cube_shift_witness_lands_on_the_next_cube():
     lengths = []
     for n in range(4):
         w = o.cube_shift_check(n)
-        E = o.clopen_downset_lattice(o.cube(n))
+        E = o.clopen_downset_lattice(o.cube(n))[0]
         PhiE, _ = o.relation_lattice(E)
-        assert w.validate(PhiE.order, o.clopen_downset_lattice(o.cube(n + 1)).order)
+        E2, _ = o.clopen_downset_lattice(o.cube(n + 1))
+        assert w.validate(PhiE.order, E2.order)
         lengths.append(len(w.forward))
     assert lengths == [3, 6, 20, 168]
 

@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+from test_cli import SHIFT_REFUSALS
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
     "same_outputs", _ROOT / "tools" / "same_outputs.py")
@@ -43,6 +45,8 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         sweep=lambda seed: [{"argv": ["experiments", "lemma51", "--n-max", "2"],
                              "kind": "lemma51"}],
     )
+    # the shift grid runs each cap the CLI test pins, and the first that passes
+    assert same_outputs.SHIFT_CAPS == (*SHIFT_REFUSALS, 168)
     ops = same_outputs.tree_ops(gen, [7], str(tmp_path))
     assert [name for name, _ in ops] == [
         "documents seed 7 op 0 (check_poset)",
@@ -50,14 +54,15 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "documents seed 7 op 2 (experiments)",
         "sweep lemma51",
         "dimtable",
-    ]
+    ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS]
     assert [argv for _, argv in ops] == [
         ["check", str(tmp_path / "7-0.json")],
         ["check", str(tmp_path / "7-1.json")],
         ["experiments", "shift", "--n-max", "1"],
         ["experiments", "lemma51", "--n-max", "2"],
         ["experiments", "dimtable", "--n-max", "6"],
-    ]
+    ] + [["--max-size", str(cap), "experiments", "shift", "--n-max", "3"]
+         for cap in same_outputs.SHIFT_CAPS]
     assert json.loads((tmp_path / "7-0.json").read_text()) == doc
     assert (tmp_path / "7-1.json").read_text() == "{"
 
@@ -65,4 +70,4 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "5 ops, 0 differ\n"
+    assert capsys.readouterr().out == "15 ops, 0 differ\n"

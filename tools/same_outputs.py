@@ -5,12 +5,14 @@
 Each tree runs the same CLI ops through ``ordlat.cli.main`` in a child
 process of its own, importing the package from that tree's ``src/`` and
 generating the documents with that tree's ``perfbench/gen.py``: the
-``documents`` ops of each seed, the four ``sweep`` suites and
-``experiments dimtable --n-max 6``.  The temporary directory that holds a
-tree's documents reads ``<docs>`` in every output, and an op that raises
-out of ``main`` has the exception as its exit.  Prints each op whose exit,
-stdout or stderr differs, and which of them; exits 1 on any difference and
-0 when every op is byte-identical.
+``documents`` ops of each seed, the four ``sweep`` suites,
+``experiments dimtable --n-max 6`` and ``experiments shift --n-max 3`` under
+each ``--max-size`` in ``SHIFT_CAPS``, which pins the order of the cap
+refusals of down-set lattices, products and relation posets.  The
+temporary directory that holds a tree's documents reads ``<docs>`` in every
+output, and an op that raises out of ``main`` has the exception as its
+exit.  Prints each op whose exit, stdout or stderr differs, and which of
+them; exits 1 on any difference and 0 when every op is byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIMTABLE = ["experiments", "dimtable", "--n-max", "6"]
+# each side of each cap threshold of `experiments shift --n-max 3`: cube 0,
+# E(cube 0) and the relation lattices of E(cube n), n = 0..3
+SHIFT_CAPS = (0, 1, 2, 3, 5, 6, 19, 20, 167, 168)
 FIELDS = ("exit", "stdout", "stderr")
 
 
@@ -45,6 +50,9 @@ def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
             ops.append((f"documents seed {seed} op {k} ({op['kind']})", argv))
     ops += [(f"sweep {op['kind']}", op["argv"]) for op in gen.sweep(0)]
     ops.append(("dimtable", DIMTABLE))
+    ops += [(f"shift under --max-size {cap}",
+             ["--max-size", str(cap), "experiments", "shift", "--n-max", "3"])
+            for cap in SHIFT_CAPS]
     return ops
 
 
