@@ -62,7 +62,6 @@ from .relation import (
     relation_image_witness,
     relation_lattice,
     relation_poset,
-    relation_prime_ideals,
     verify_relation_primes,
 )
 

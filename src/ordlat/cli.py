@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import docio
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .lattice import lattice_from_poset
 from .duality import clopen_downset_lattice, prime_ideals, spec
-from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE, _bits
+from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE, _members
 from .relation import (
     FIXED_POINT_MODES,
     _class_id,
@@ -109,8 +110,9 @@ def _report(args, result: dict, extra_args: dict | None = None) -> str:
 
 def _dump(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed dicts,
-    lists, str, int, bool and None, writing int lists and [i, j] pair lists
-    without a call per number; any other type raises TypeError."""
+    lists, ``docio.Pairs``, str, int, bool and None, writing int lists, str
+    lists and pairs without a call per item; any other type raises
+    TypeError."""
     out: list[str] = []
     _emit(obj, "\n", out)
     return "".join(out)
@@ -129,7 +131,7 @@ def _emit(obj, nl: str, out: list[str]) -> None:
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"report key {key!r} is not a str")
-            out.append(sep + json.dumps(key) + ": ")
+            out.append(sep + _quote(key) + ": ")
             _emit(obj[key], inner, out)
             sep = "," + inner
         out.append(nl + "}")
@@ -140,11 +142,8 @@ def _emit(obj, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         if all(type(x) is int for x in obj):
             out.append("[" + inner + ("," + inner).join(map(str, obj)) + nl + "]")
-        elif all(type(x) is list and len(x) == 2 and type(x[0]) is int
-                 and type(x[1]) is int for x in obj):
-            deep = inner + "  "
-            out.append("[" + inner + ("," + inner).join(
-                [f"[{deep}{i},{deep}{j}{inner}]" for i, j in obj]) + nl + "]")
+        elif all(type(x) is str for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
         else:
             sep = "[" + inner
             for x in obj:
@@ -152,10 +151,31 @@ def _emit(obj, nl: str, out: list[str]) -> None:
                 _emit(x, inner, out)
                 sep = "," + inner
             out.append(nl + "]")
+    elif kind is docio.Pairs:
+        _emit_pairs(obj, nl, out)
     elif kind in (str, int, bool) or obj is None:
         out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot write {kind.__name__} into a report")
+
+
+def _emit_pairs(pairs: docio.Pairs, nl: str, out: list[str]) -> None:
+    """``_emit`` of the list of [i, j] lists that pairs stands for, one
+    join per row over the row's members, named by a table of numerals."""
+    inner = nl + "  "
+    deep = inner + "  "
+    between = inner + "]," + inner  # from one pair's j to the next pair
+    names = list(map(str, range(len(pairs.up))))
+    rows = []
+    for i, row in pairs.rows():
+        if row:
+            head = "[" + deep + names[i] + "," + deep
+            rows.append(head + (between + head).join(_members(row, names))
+                        + inner + "]")
+    if rows:
+        out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+    else:
+        out.append("[]")
 
 
 def _load(path: str, max_size: int):
@@ -196,14 +216,16 @@ def cmd_phi(args) -> tuple[str, int]:
     kind, P = _load(args.input, args.max_size)
     if args.as_kind == "lattice":
         L = lattice_from_poset(P)
-        RL, prs = relation_lattice(L, max_size=args.max_size)
+        RL, _ = relation_lattice(L, max_size=args.max_size)
         doc = docio.poset_to_document(RL.order, kind="lattice")
+        order = L.order
     else:
-        RP, prs = relation_poset(P, max_size=args.max_size)
+        RP, _ = relation_poset(P, max_size=args.max_size)
         doc = docio.poset_to_document(RP, kind="poset")
+        order = P
     result = {
         "document": doc,
-        "pairs": [list(pr) for pr in prs],
+        "pairs": docio.Pairs(order.up, strict=False),
         "size": doc["size"],
     }
     return _report(args, result, {"input": args.input, "as": args.as_kind}), 0
@@ -215,7 +237,7 @@ def cmd_primes(args) -> tuple[str, int]:
     ideals = prime_ideals(L)
     result = {
         "count": len(ideals),
-        "prime_ideals": [list(_bits(m)) for m in ideals],
+        "prime_ideals": [list(_members(m, range(L.n))) for m in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 
@@ -225,7 +247,7 @@ def cmd_spec(args) -> tuple[str, int]:
     X, ideals = spec(lattice_from_poset(P))
     result = {
         "document": docio.poset_to_document(X),
-        "prime_ideals": [list(_bits(m)) for m in ideals],
+        "prime_ideals": [list(_members(m, range(P.n))) for m in ideals],
     }
     return _report(args, result, {"input": args.input}), 0
 
@@ -235,7 +257,7 @@ def cmd_downsets(args) -> tuple[str, int]:
     E, ds = clopen_downset_lattice(P, args.max_size)
     result = {
         "document": docio.poset_to_document(E.order, kind="lattice"),
-        "down_sets": [list(_bits(m)) for m in ds],
+        "down_sets": [list(_members(m, range(P.n))) for m in ds],
     }
     return _report(args, result, {"input": args.input}), 0
 

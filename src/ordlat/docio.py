@@ -3,12 +3,47 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .errors import CapExceeded, ParseError
-from .poset import DEFAULT_MAX_SIZE, Poset, poset_new
+from .poset import DEFAULT_MAX_SIZE, Poset, _members, poset_new
 
 SCHEMA_VERSION = "1"
 KINDS = ("poset", "lattice")
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """The related pairs [i, j] of the order on range(len(up)) whose
+    up-rows are ``up``, all of them or, if ``strict``, those with i != j:
+    the list of them in lexicographic order, read off the rows as it is
+    iterated, so no pair is held.  It equals that list; ``list`` or
+    ``json.dumps(..., default=list)`` turns it into plain JSON, and the CLI
+    writes it row by row."""
+
+    up: tuple[int, ...]
+    strict: bool
+
+    def rows(self):
+        """(i, row i of the pairs) for each i."""
+        if not self.strict:
+            return enumerate(self.up)
+        return ((i, row & ~(1 << i)) for i, row in enumerate(self.up))
+
+    def __iter__(self):
+        items = range(len(self.up))
+        for i, row in self.rows():
+            for j in _members(row, items):
+                yield [i, j]
+
+    def __len__(self) -> int:
+        count = sum(map(int.bit_count, self.up))
+        return count - len(self.up) if self.strict else count
+
+    def __eq__(self, other):
+        if isinstance(other, (Pairs, list)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def poset_to_document(P: Poset, kind: str = "poset") -> dict:
@@ -20,7 +55,7 @@ def poset_to_document(P: Poset, kind: str = "poset") -> dict:
         "kind": kind,
         "size": P.n,
         "labels": list(P.labels),
-        "leq_pairs": [[i, j] for i, j in P.pairs() if i != j],
+        "leq_pairs": Pairs(P.up, strict=True),
     }
 
 
@@ -41,19 +76,16 @@ def document_to_poset(doc, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset
     if type(size) is not int or size < 0:
         raise ParseError("size must be a nonnegative integer")
     pairs = doc.get("leq_pairs")
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, (list, Pairs)):
         raise ParseError("leq_pairs must be a list of [i, j] pairs")
-    clean = []
     for p in pairs:
-        if (
-            not isinstance(p, (list, tuple))
-            or len(p) != 2
-            or not all(type(x) is int for x in p)
-        ):
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise ParseError(f"bad pair entry {p!r}")
-        if not all(0 <= x < size for x in p):
+        i, j = p
+        if type(i) is not int or type(j) is not int:
+            raise ParseError(f"bad pair entry {p!r}")
+        if not (0 <= i < size and 0 <= j < size):
             raise ParseError(f"pair {p!r} out of range for size {size}")
-        clean.append((p[0], p[1]))
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != size:
@@ -64,7 +96,7 @@ def document_to_poset(doc, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset
             f"document size {size} exceeds the size cap {max_size} "
             "(raise it with --max-size)"
         )
-    return kind, poset_new(size, clean, labels)
+    return kind, poset_new(size, pairs, labels)
 
 
 def parse_document(text: str, max_size: int = DEFAULT_MAX_SIZE) -> tuple[str, Poset]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import itemgetter
 
 from .errors import (
@@ -30,6 +31,22 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# the digits of a binary string as the bytes 0 and 1, for ``compress``
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int, items):
+    """``items[j]`` for each set bit j of mask, ascending; every bit must
+    index items.
+
+    A dense mask is written out as its binary string, last bit first, whose
+    digits pick from items in C; a sparse one, whose few bits would not pay
+    for a string as long as the mask, is walked bit by bit."""
+    if mask.bit_count() * 16 < mask.bit_length():
+        return map(items.__getitem__, _bits(mask))
+    return compress(items, format(mask, "b")[::-1].encode().translate(_DIGITS))
 
 
 def _pullback(g, width: int):
@@ -142,10 +159,6 @@ class Poset:
         pull = _pullback(elems, self.n)
         up = tuple(pull(self.up[a]) for a in elems)
         return Poset(len(elems), up, tuple(self.labels[a] for a in elems))
-
-    def relabel(self, perm) -> "Poset":
-        """Poset with element ``perm[i]`` placed at position i."""
-        return self.induced(perm)
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j): i < j with nothing strictly between, in

@@ -100,16 +100,6 @@ def relation_hom(f: LatticeHom, max_size: int = DEFAULT_MAX_SIZE) -> LatticeHom:
     return hom_new(src, tgt, _positions(images, tprs, "hom image of a pair"))
 
 
-def relation_prime_ideals(
-    L: DistLattice, max_size: int = DEFAULT_MAX_SIZE
-) -> list[int]:
-    """Closed-form prime ideals of the relation lattice, as sorted masks:
-    for each prime ideal I of L, the pairs with both components in I, and
-    the pairs with first component in I.  Each is checked prime by a row
-    lookup."""
-    return _relation_lattice(L, max_size)[2]
-
-
 def _components(prs: PairMap, width: int):
     """The preimage maps of the pairs' first and second components, over
     masks of range(width)."""
@@ -160,9 +150,15 @@ def relation_downset_iso(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitne
     with e on the bottom layer; the inverse splits a down-set of X x 2 into
     its two layers (top layer first).  Both directions are validated.
     """
+    return _relation_downset_iso(X, max_size)[0]
+
+
+def _relation_downset_iso(X: Poset, max_size: int) -> tuple[IsoWitness, Poset]:
+    """``relation_downset_iso`` and the product X x 2 it built."""
     E, ds = clopen_downset_lattice(X, max_size)
     PhiE, prs = relation_lattice(E, max_size=max_size)
-    E2, ds2 = clopen_downset_lattice(product(X, chain(2), max_size), max_size)
+    X2 = product(X, chain(2), max_size)
+    E2, ds2 = clopen_downset_lattice(X2, max_size)
     layered = []
     for i, j in prs:
         c = 0
@@ -171,7 +167,7 @@ def relation_downset_iso(X: Poset, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitne
         for x in _bits(ds[j]):
             c |= 1 << (2 * x)
         layered.append(c)
-    return _certified(PhiE.order, E2.order, layered, ds2, "layer map")
+    return _certified(PhiE.order, E2.order, layered, ds2, "layer map"), X2
 
 
 @dataclass(frozen=True)
@@ -342,13 +338,12 @@ def cube_shift_check(n: int, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     """Finite shadow of the shift self-similarity of the infinite cube:
     Lemma 5.1 at X = cube n.  Returns the certified isomorphism from the
     relation lattice of E(cube n) onto E(cube n x 2), which is E(cube(n+1))
-    because cube n x 2 and cube(n+1) have the same up-rows; that is checked
-    after the lemma, so its caps are met first."""
-    X = cube(n, max_size)
-    w = relation_downset_iso(X, max_size)
+    because the product cube n x 2 that the lemma builds has the up-rows of
+    cube(n+1); that is checked after the lemma, so its caps are met first."""
+    w, X2 = _relation_downset_iso(cube(n, max_size), max_size)
     # the lemma's relation lattice has as many elements as E(cube n x 2),
     # more than the 2^(n+1) points of either side, so its cap holds here
-    if product(X, chain(2), max_size).up != cube(n + 1, max_size).up:
+    if X2.up != cube(n + 1, max_size).up:
         raise InternalError(f"cube {n} x 2 is not cube {n + 1}")
     return w
 

@@ -42,7 +42,7 @@ def posets(draw, min_size=0, max_size=9):
     index = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
     rows = brute_closure(n, [(min(p), max(p)) for p in pairs])[0]
-    return _poset(rows).relabel(draw(st.permutations(range(n))))
+    return _poset(rows).induced(draw(st.permutations(range(n))))
 
 
 @st.composite
@@ -84,7 +84,7 @@ def test_pullback_of_the_empty_map():
 @given(posets(), st.data())
 def test_relabellings_validate(P, data):
     perm = data.draw(st.permutations(range(P.n)))
-    Q = P.relabel(perm)
+    Q = P.induced(perm)
     # Q's element i is P's perm[i], so P's element perm[i] goes to i
     w = IsoWitness.from_forward(sorted(range(P.n), key=lambda i: perm[i]))
     assert w.validate(P, Q)
@@ -100,7 +100,7 @@ def test_iso_witness_matches_the_pair_oracle(P, data):
     forward map that is not a bijection."""
     n = P.n
     if data.draw(st.booleans()):
-        Q = P.relabel(data.draw(st.permutations(range(n))))
+        Q = P.induced(data.draw(st.permutations(range(n))))
     else:
         Q = data.draw(posets(n, n))
     w = IsoWitness.from_forward(data.draw(st.permutations(range(n))))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -294,7 +295,14 @@ def test_downsets_lattice_is_capped_by_max_size(tmp_path):
     assert rss_kb < 100 * 1024
 
 
-@pytest.mark.parametrize("command,n,want", [("image", 1023, 1), ("primes", 1024, 0)])
+# peak RSS in MiB: `spec` on the 1,024-chain writes the 523,776 related
+# pairs of its spectrum, 34.8 MB of report, from the spectrum's rows at
+# about 108 MiB; a list per pair took about 200 MiB
+LONG_CHAIN_RSS_MB = {"image": 300, "primes": 300, "spec": 150}
+
+
+@pytest.mark.parametrize("command,n,want", [
+    ("image", 1023, 1), ("primes", 1024, 0), ("spec", 1024, 0)])
 def test_duality_commands_on_long_chains_stay_in_budget(tmp_path, command, n, want):
     """Time and memory of the spectrum commands on the longest chain
     lattices the default size cap admits.  The spectrum of the 1,023-chain
@@ -305,7 +313,7 @@ def test_duality_commands_on_long_chains_stay_in_budget(tmp_path, command, n, wa
     )
     assert (status, err) == (want, "")
     assert wall < 20
-    assert rss_kb < 300 * 1024
+    assert rss_kb < LONG_CHAIN_RSS_MB[command] * 1024
 
 
 def test_duality_commands_take_lattices_past_twenty_elements(tmp_path, capsys):
@@ -313,7 +321,8 @@ def test_duality_commands_take_lattices_past_twenty_elements(tmp_path, capsys):
     and it is the image of the 21-chain."""
     PhiL, _ = o.relation_lattice(o.lattice_from_poset(o.chain(21)))
     path = tmp_path / "phi_chain21.json"
-    path.write_text(json.dumps(docio.poset_to_document(PhiL.order, kind="lattice")))
+    path.write_text(json.dumps(docio.poset_to_document(PhiL.order, kind="lattice"),
+                               default=list))
     code, out, _ = run(capsys, "primes", str(path))
     assert code == 0
     assert json.loads(out)["result"]["count"] == 40
@@ -476,7 +485,7 @@ def test_dot_labels_keep_backslashes_and_quotes(tmp_path, capsys):
     labels = ["a\\", 'say "hi" \\"']
     path = tmp_path / "doc.json"
     doc = docio.poset_to_document(o.poset_new(2, [(0, 1)], labels))
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, default=list))
     code, out, _ = run(capsys, "dot", str(path))
     assert code == 0
     # a DOT quoted string ends at the first unescaped quote; \\ and \" are
@@ -570,6 +579,24 @@ def test_experiments_shift_builds_each_downset_lattice_once(capsys, monkeypatch)
     assert calls == [p for n in range(4) for p in (1 << n, 2 << n)]
 
 
+def test_experiments_shift_builds_each_cube_times_two_once(capsys, monkeypatch):
+    """The check compares cube(n+1) with the product cube n x 2 that the
+    lemma built, so each case builds one product."""
+    from ordlat import relation
+
+    calls = []
+    real = relation.product
+
+    def counted(P, Q, *args, **kwargs):
+        calls.append((P.n, Q.n))
+        return real(P, Q, *args, **kwargs)
+
+    monkeypatch.setattr(relation, "product", counted)
+    code, _, _ = run(capsys, "experiments", "shift", "--n-max", "3")
+    assert code == 0
+    assert calls == [(1, 2), (2, 2), (4, 2), (8, 2)]
+
+
 def test_experiments_dimtable_csv(capsys):
     code, out, _ = run(capsys, "experiments", "dimtable", "--n-max", "3")
     assert code == 0
@@ -644,11 +671,46 @@ def test_parse_rejects_bad_documents():
             docio.document_to_poset(doc)
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ([[0]], "bad pair entry [0]"),
+    ([[0, 1, 2]], "bad pair entry [0, 1, 2]"),
+    ([[False, False]], "bad pair entry [False, False]"),
+    ([[0, "1"]], "bad pair entry [0, '1']"),
+    ([0], "bad pair entry 0"),
+    ([[0, 5]], "pair [0, 5] out of range for size 2"),
+])
+def test_parse_names_each_bad_pair(pairs, message):
+    doc = {"schema_version": "1", "kind": "poset", "size": 2, "leq_pairs": pairs}
+    with pytest.raises(o.ParseError) as err:
+        docio.document_to_poset(doc)
+    assert str(err.value) == message
+
+
+def test_documents_round_trip_their_pairs_in_process():
+    """A document's pairs are a ``docio.Pairs`` read off the rows: equal to
+    the list they stand for, taken back by ``document_to_poset`` and made
+    plain JSON by ``default=list``."""
+    P = o.poset_new(3, [(0, 1), (0, 2)], ["a", "b", "c"])
+    doc = docio.poset_to_document(P)
+    assert isinstance(doc["leq_pairs"], docio.Pairs)
+    assert doc["leq_pairs"] == [[0, 1], [0, 2]] and len(doc["leq_pairs"]) == 2
+    assert docio.document_to_poset(doc) == ("poset", P)
+    assert json.loads(json.dumps(doc, default=list))["leq_pairs"] == [[0, 1], [0, 2]]
+    every = docio.Pairs(P.up, strict=False)
+    assert every == [[0, 0], [0, 1], [0, 2], [1, 1], [2, 2]] and len(every) == 5
+    assert every != doc["leq_pairs"] and every != ()
+    # a refused pair is named as it is for a list
+    with pytest.raises(o.ParseError, match=r"^pair \[0, 0\] out of range for size 0$"):
+        docio.document_to_poset({**doc, "size": 0, "labels": None,
+                                 "leq_pairs": docio.Pairs((1,), strict=False)})
+
+
 KEYS = st.text(alphabet=st.sampled_from('ab"\\/\n\u00e9\u2603'), max_size=4)
 INTS = st.integers(-(10**12), 10**12)
 SCALARS = st.none() | st.booleans() | INTS | st.text(max_size=5)
 PAYLOADS = st.recursive(
-    SCALARS | st.lists(INTS) | st.lists(st.lists(INTS, min_size=2, max_size=2)),
+    SCALARS | st.lists(INTS) | st.lists(st.lists(INTS, min_size=2, max_size=2))
+    | st.lists(st.text()),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(KEYS, inner, max_size=4),
     max_leaves=30,
@@ -674,6 +736,40 @@ def test_report_writer_matches_json_dumps(payload):
 ])
 def test_report_writer_takes_the_general_path_where_it_must(payload):
     assert cli._dump(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@st.composite
+def orders(draw):
+    """Random orders of three shapes: sparse and wide (up to 300 points,
+    few relations per row), dense (every pair i < j related with
+    probability at least one half) and of at most one point."""
+    shape = draw(st.sampled_from(("sparse", "dense", "tiny")))
+    if shape == "tiny":
+        n = draw(st.integers(0, 1))
+        return o.poset_new(n, [])
+    n = draw(st.integers(2, 300 if shape == "sparse" else 40))
+    if shape == "sparse":
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(1, 5)),
+                              max_size=n))
+        pairs = [(i, min(i + d, n - 1)) for i, d in pairs]
+    else:
+        p = draw(st.floats(0.5, 1.0))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    perm = draw(st.permutations(range(n)))
+    return o.poset_new(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders(), st.sampled_from(docio.KINDS))
+def test_pairs_are_written_as_json_dumps_writes_their_lists(P, kind):
+    doc = docio.poset_to_document(P, kind)
+    plain = {**doc, "leq_pairs": [[i, j] for i, j in P.pairs() if i != j]}
+    assert doc["leq_pairs"] == plain["leq_pairs"]
+    assert cli._dump({"d": doc}) == json.dumps({"d": plain}, indent=2, sort_keys=True)
+    every = docio.Pairs(P.up, False)
+    assert list(every) == [list(p) for p in P.pairs()] and len(every) == len(P.pairs())
+    assert cli._dump(every) == json.dumps(list(every), indent=2)
 
 
 @pytest.mark.parametrize("payload", [{1, 2}, {"a": (1, 2)}, [[1, 2], {3}], {1: 2}])

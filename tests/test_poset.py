@@ -376,7 +376,7 @@ def test_representatives_match_the_relabelled_candidates(
                 rows = [r | ((D >> i) & 1) << (n - 1) for i, r in enumerate(Q.up)]
                 cand = o.Poset(n, tuple(rows) + (1 << (n - 1),), ("",) * n)
                 key, perm = o.canonical_key(cand)
-                first.setdefault(key, cand.relabel(perm).up)
+                first.setdefault(key, cand.induced(perm).up)
         assert [(P.up, P.down_masks) for P in reps[n]] == [
             (first[k], tuple(brute_transpose(first[k], n))) for k in sorted(first)
         ], n
@@ -460,7 +460,7 @@ def test_canonical_form_is_relabel_invariant():
         for P in o.enumerate_posets(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            Q = P.relabel(perm)
+            Q = P.induced(perm)
             assert o.canonical_key(Q)[0] == o.canonical_key(P)[0]
 
 
@@ -470,11 +470,11 @@ def test_canonical_key_matches_brute_oracle():
         for P in o.enumerate_posets(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            Q = P.relabel(perm)
+            Q = P.induced(perm)
             assert o.canonical_key(Q) == brute_canonical_key(Q)
 
 
-# SHA-256 of repr([canonical_key(P.relabel(perm)) for P in
+# SHA-256 of repr([canonical_key(P.induced(perm)) for P in
 # enumerate_posets(7)]), each perm shuffled by random.Random(2045) in class
 # order; recorded from the canonical key whose frontier held sorted tuples,
 # before it held bitmasks.  Brute force over 5,040 orderings per class is
@@ -490,7 +490,7 @@ def test_canonical_key_matches_recorded_digest_at_seven():
     for P in o.enumerate_posets(7):
         perm = list(range(7))
         rng.shuffle(perm)
-        keys.append(o.canonical_key(P.relabel(perm)))
+        keys.append(o.canonical_key(P.induced(perm)))
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == CANONICAL_KEY_SHA256_7
 
@@ -498,7 +498,7 @@ def test_canonical_key_matches_recorded_digest_at_seven():
 def relabelled(rng, P):
     perm = list(range(P.n))
     rng.shuffle(perm)
-    return P.relabel(perm)
+    return P.induced(perm)
 
 
 def grid(a, b):
@@ -614,7 +614,7 @@ def test_is_isomorphic_needs_no_recursion_depth():
     n = 1200
     perm = list(range(n))
     random.Random(1200).shuffle(perm)
-    P, Q = o.chain(n), o.chain(n).relabel(perm)
+    P, Q = o.chain(n), o.chain(n).induced(perm)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:

@@ -6,6 +6,7 @@ import pytest
 import ordlat as o
 from ordlat import CapExceeded, InternalError, OrdlatError, relation
 from ordlat.lattice import _tables
+from ordlat.poset import DEFAULT_MAX_SIZE
 from oracles import (
     brute_check_tables,
     brute_dimension,
@@ -263,10 +264,16 @@ def test_relation_functor_laws_on_chains():
                         assert lhs.mapping == rhs.mapping
 
 
+def closed_form_primes(L):
+    """The closed-form prime ideals of Phi(L), as sorted masks, that the
+    relation lattice is checked by."""
+    return relation._relation_lattice(L, DEFAULT_MAX_SIZE)[2]
+
+
 def test_relation_prime_ideals_chain2_closed_form():
     # for the single prime ideal {0} of the 2-chain, the two families are
     # {(0,0)} and {(0,0),(0,1)}
-    assert o.relation_prime_ideals(lat(o.chain(2))) == [0b001, 0b011]
+    assert closed_form_primes(lat(o.chain(2))) == [0b001, 0b011]
 
 
 def test_relation_prime_ideals_match_the_power_set_oracle():
@@ -275,15 +282,15 @@ def test_relation_prime_ideals_match_the_power_set_oracle():
     for k in (2, 3, 4):
         L = lat(o.chain(k))
         PhiL, _ = o.relation_lattice(L)
-        assert o.relation_prime_ideals(L) == brute_prime_ideals(PhiL)
+        assert closed_form_primes(L) == brute_prime_ideals(PhiL)
 
 
 def test_relation_prime_ideals_counts():
     for n in range(2, 6):
         L = lat(o.chain(n))
-        assert len(o.relation_prime_ideals(L)) == 2 * len(o.prime_ideals(L))
+        assert len(closed_form_primes(L)) == 2 * len(o.prime_ideals(L))
     B = o.clopen_downset_lattice(o.antichain(2))[0]
-    assert len(o.relation_prime_ideals(B)) == 4
+    assert len(closed_form_primes(B)) == 4
 
 
 def test_relation_prime_ideals_find_the_irreducibles_of_phi_once(monkeypatch):
@@ -303,7 +310,7 @@ def test_relation_prime_ideals_find_the_irreducibles_of_phi_once(monkeypatch):
     for module in (lattice, duality, relation):
         if hasattr(module, "_join_irreducibles"):
             monkeypatch.setattr(module, "_join_irreducibles", counted)
-    assert len(o.relation_prime_ideals(L)) == 6
+    assert len(closed_form_primes(L)) == 6
     assert sizes == [10]
 
 
@@ -346,7 +353,7 @@ def test_verify_relation_primes_random_larger():
             X = rng.choice(o.enumerate_posets(3))
             perm = list(range(3))
             rng.shuffle(perm)
-            L = o.clopen_downset_lattice(X.relabel(perm))[0]
+            L = o.clopen_downset_lattice(X.induced(perm))[0]
             if L.n <= 5:
                 continue
         elif kind == 1:
@@ -419,7 +426,7 @@ def random_poset(rng, n):
 def shuffled(rng, P):
     perm = list(range(P.n))
     rng.shuffle(perm)
-    return P.relabel(perm)
+    return P.induced(perm)
 
 
 def test_factor_by_two_is_the_partner_search(monkeypatch):

@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+from ordlat import docio
+
 from test_cli import SHIFT_REFUSALS
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +56,17 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "documents seed 7 op 2 (experiments)",
         "sweep lemma51",
         "dimtable",
-    ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS]
+    ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS] + [
+        "spec on the 1024-chain lattice",
+        "primes on the 1024-chain lattice",
+        "downsets on the 200-chain",
+        "phi on the 600-point matching",
+        "phi as lattice on Phi(chain 21)",
+        "phi as lattice on the 21-chain lattice",
+        "phi on escaped labels",
+        "phi on the 5-antichain",
+    ]
+    fixed = [str(tmp_path / f"fixed-{k}.json") for k in range(8)]
     assert [argv for _, argv in ops] == [
         ["check", str(tmp_path / "7-0.json")],
         ["check", str(tmp_path / "7-1.json")],
@@ -62,12 +74,29 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         ["experiments", "lemma51", "--n-max", "2"],
         ["experiments", "dimtable", "--n-max", "6"],
     ] + [["--max-size", str(cap), "experiments", "shift", "--n-max", "3"]
-         for cap in same_outputs.SHIFT_CAPS]
+         for cap in same_outputs.SHIFT_CAPS] + [
+        ["spec", fixed[0]],
+        ["primes", fixed[1]],
+        ["downsets", fixed[2]],
+        ["phi", fixed[3]],
+        ["phi", fixed[4], "--as", "lattice"],
+        ["phi", fixed[5], "--as", "lattice"],
+        ["phi", fixed[6]],
+        ["phi", fixed[7]],
+    ]
     assert json.loads((tmp_path / "7-0.json").read_text()) == doc
     assert (tmp_path / "7-1.json").read_text() == "{"
+    # the fixed documents: sizes, and Phi's size for the two phi inputs
+    sizes = [json.loads(Path(f).read_text())["size"] for f in fixed]
+    assert sizes == [1024, 1024, 200, 600, 231, 21, 5, 5]
+    for f, related in ((fixed[3], 924), (fixed[4], 19481)):
+        _, P = docio.parse_document(Path(f).read_text())
+        assert P.relation_count() == related
+    assert json.loads(Path(fixed[6]).read_text())["labels"] == [
+        '"', "\\", "\n", "\u00e9", "\u2603"]
 
 
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "15 ops, 0 differ\n"
+    assert capsys.readouterr().out == "23 ops, 0 differ\n"

@@ -6,9 +6,10 @@ Each tree runs the same CLI ops through ``ordlat.cli.main`` in a child
 process of its own, importing the package from that tree's ``src/`` and
 generating the documents with that tree's ``perfbench/gen.py``: the
 ``documents`` ops of each seed, the four ``sweep`` suites,
-``experiments dimtable --n-max 6`` and ``experiments shift --n-max 3`` under
+``experiments dimtable --n-max 6``, ``experiments shift --n-max 3`` under
 each ``--max-size`` in ``SHIFT_CAPS``, which pins the order of the cap
-refusals of down-set lattices, products and relation posets.  The
+refusals of down-set lattices, products and relation posets, and the
+``fixed_ops``, whose large or odd documents the seeds never reach.  The
 temporary directory that holds a tree's documents reads ``<docs>`` in every
 output, and an op that raises out of ``main`` has the exception as its
 exit.  Prints each op whose exit, stdout or stderr differs, and which of
@@ -35,6 +36,59 @@ SHIFT_CAPS = (0, 1, 2, 3, 5, 6, 19, 20, 167, 168)
 FIELDS = ("exit", "stdout", "stderr")
 
 
+def _document(kind: str, n: int, pairs, labels=None) -> dict:
+    doc = {"schema_version": "1", "kind": kind, "size": n, "leq_pairs": pairs}
+    if labels is not None:
+        doc["labels"] = labels
+    return doc
+
+
+def _chain(n: int, kind: str) -> dict:
+    return _document(kind, n, [[i, i + 1] for i in range(n - 1)])
+
+
+def _matching() -> dict:
+    """276 two-element chains and 16 three-element chains: 600 points and
+    924 related pairs, so Phi has few pairs per row."""
+    pairs = [[2 * c, 2 * c + 1] for c in range(276)]
+    for c in range(16):
+        k = 552 + 3 * c
+        pairs += [[k, k + 1], [k + 1, k + 2]]
+    return _document("poset", 600, pairs)
+
+
+def _relation_of_chain(n: int) -> dict:
+    """Phi(chain n) as a lattice: the pairs a <= b in lexicographic order,
+    each covered by (a+1, b) and (a, b+1) where those are pairs."""
+    index = {(a, b): k for k, (a, b) in
+             enumerate((a, b) for a in range(n) for b in range(a, n))}
+    covers = [[k, index[c]] for (a, b), k in index.items()
+              for c in ((a + 1, b), (a, b + 1)) if c in index]
+    return _document("lattice", len(index), covers)
+
+
+def fixed_ops() -> list[tuple[str, list[str], dict]]:
+    """(name, argv, document) of the ops on large or odd documents, each
+    built here in plain Python; ``@doc`` in argv is the document's file.
+    Phi(Phi(chain 21)) has 19,481 elements, so `phi --as lattice` refuses
+    Phi(chain 21) at the default cap; on chain 21 it writes Phi(chain 21)."""
+    chain1024 = _chain(1024, "lattice")
+    labels = ['"', "\\", "\n", "\u00e9", "\u2603"]
+    return [
+        ("spec on the 1024-chain lattice", ["spec", "@doc"], chain1024),
+        ("primes on the 1024-chain lattice", ["primes", "@doc"], chain1024),
+        ("downsets on the 200-chain", ["downsets", "@doc"], _chain(200, "poset")),
+        ("phi on the 600-point matching", ["phi", "@doc"], _matching()),
+        ("phi as lattice on Phi(chain 21)", ["phi", "@doc", "--as", "lattice"],
+         _relation_of_chain(21)),
+        ("phi as lattice on the 21-chain lattice",
+         ["phi", "@doc", "--as", "lattice"], _chain(21, "lattice")),
+        ("phi on escaped labels", ["phi", "@doc"],
+         _document("poset", 5, [[0, 1], [1, 2], [0, 3]], labels)),
+        ("phi on the 5-antichain", ["phi", "@doc"], _document("poset", 5, [])),
+    ]
+
+
 def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of every op, writing each document into docdir as the
     benchmark does."""
@@ -53,6 +107,11 @@ def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
     ops += [(f"shift under --max-size {cap}",
              ["--max-size", str(cap), "experiments", "shift", "--n-max", "3"])
             for cap in SHIFT_CAPS]
+    for k, (name, argv, doc) in enumerate(fixed_ops()):
+        path = os.path.join(docdir, f"fixed-{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        ops.append((name, [path if a == "@doc" else a for a in argv]))
     return ops
 
 
