@@ -29,6 +29,8 @@ from .relation import (
     FIXED_POINT_MODES,
     _class_id,
     _classes,
+    _lattice_classes,
+    _lattice_id,
     cube_shift_check,
     dimension_report,
     find_fixed_points,
@@ -292,17 +294,10 @@ def cmd_image(args) -> tuple[str, int]:
 
 
 def _suite_corollary(n_max: int, max_size: int) -> tuple[dict, int]:
-    checked = 0
-    failures = []
-    for size, idx, P in _classes(n_max):
-        try:
-            L = lattice_from_poset(P)
-        except OrdlatError:
-            continue
-        checked += 1
-        if not verify_relation_primes(L, max_size=max_size):
-            failures.append(_class_id(size, idx))
-    result = {"checked": checked, "failures": failures,
+    lattices = _lattice_classes(n_max)
+    failures = [_lattice_id(key) for key, L in lattices
+                if not verify_relation_primes(L, max_size=max_size)]
+    result = {"checked": len(lattices), "failures": failures,
               "all_pass": not failures}
     return result, 0 if not failures else 1
 

@@ -15,7 +15,7 @@ from .errors import (
     NotHomomorphism,
     Unbounded,
 )
-from .poset import Poset, _bits, _pullback, down_sets
+from .poset import Poset, _bits, _down_set_fold, _pullback
 
 DEFAULT_HOM_CAP = 6
 
@@ -57,7 +57,7 @@ def _is_birkhoff(P: Poset, irreducibles: list[int]) -> bool:
 
     The map reflects the order iff each up-row is the AND of the up-rows of
     the J below it, and is then one-to-one; it is onto iff J has exactly
-    n down-sets, counted with the count capped at n."""
+    n down-sets, counted on P's own down-rows with the count capped at n."""
     up, down, full = P.up, P.down_masks, P.full_mask
     in_j = sum(1 << j for j in irreducibles)
     for a in range(P.n):
@@ -67,7 +67,7 @@ def _is_birkhoff(P: Poset, irreducibles: list[int]) -> bool:
         if row != up[a]:
             return False
     try:
-        return len(down_sets(P.induced(irreducibles), max_count=P.n)) == P.n
+        return len(_down_set_fold(down, irreducibles, in_j, P.n)) == P.n
     except CapExceeded:
         return False
 

@@ -375,20 +375,29 @@ def _pair_order(P: Poset, Q: Poset, prs) -> Poset:
 def down_sets(P: Poset, max_count: int = DEFAULT_DOWNSET_COUNT_CAP) -> list[int]:
     """All down-sets of P as bitmasks, sorted ascending.
 
-    Elements are folded in along a linear extension, so only genuine
-    down-sets are ever produced.  The list never holds more than
-    2 * max_count masks: it is refused as soon as it passes max_count.
+    The list never holds more than 2 * max_count masks: it is refused as
+    soon as it passes max_count.
     """
-    down = P.down_masks
-    topo = sorted(range(P.n), key=lambda i: (down[i].bit_count(), i))
+    result = _down_set_fold(P.down_masks, range(P.n), P.full_mask, max_count)
+    result.sort()
+    return result
+
+
+def _down_set_fold(down, members, within: int, max_count: int) -> list[int]:
+    """The down-sets, unsorted, of the subposet on members, whose mask is
+    within, given the down-rows of the poset around it; refused as soon as
+    there are more than max_count.
+
+    The members are folded in along a linear extension (by down-set size),
+    so only genuine down-sets are ever produced: x joins each one that
+    holds the members below it."""
     result = [0]
-    for x in topo:
-        need = down[x] & ~(1 << x)
+    for x in sorted(members, key=lambda i: down[i].bit_count()):
         bit = 1 << x
+        need = down[x] & within & ~bit
         result += [d | bit for d in result if d & need == need]
         if len(result) > max_count:
             raise CapExceeded(f"more than {max_count} down-sets")
-    result.sort()
     return result
 
 
@@ -855,6 +864,12 @@ def enumerate_posets(n: int) -> list[Poset]:
     representative depends only on the class."""
     if n < 1:
         raise ValueError("enumerate_posets needs n >= 1")
+    _refuse_past_enumeration_cap(n)
+    return list(_enumerate_cached(n))
+
+
+def _refuse_past_enumeration_cap(n: int) -> None:
+    """Raise ``CapExceeded`` when classes of n points are past the
+    enumeration cap."""
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"poset enumeration capped at n = {ENUMERATION_CAP}")
-    return list(_enumerate_cached(n))

@@ -27,13 +27,16 @@ from .duality import (
 from .poset import (
     DEFAULT_DIMENSION_CAP,
     DEFAULT_MAX_SIZE,
-    ENUMERATION_CAP,
     IsoWitness,
     Poset,
     _bits,
+    _canonical_chunks,
+    _decoded,
+    _default_labels,
     _extend,
     _pair_order,
     _pullback,
+    _refuse_past_enumeration_cap,
     chain,
     cube,
     down_sets,
@@ -277,8 +280,7 @@ def _classes(n_max: int):
     """(size, idx, P) for P the idx-th class of ``enumerate_posets(size)``,
     size = 1..n_max.  An n_max past the enumeration cap is refused here,
     before any class is built."""
-    if n_max > ENUMERATION_CAP:
-        raise CapExceeded(f"poset enumeration capped at n = {ENUMERATION_CAP}")
+    _refuse_past_enumeration_cap(n_max)
     return (
         (size, idx, P)
         for size in range(1, n_max + 1)
@@ -289,6 +291,37 @@ def _classes(n_max: int):
 def _class_id(size: int, idx: int) -> str:
     """Report id of a class, formatted only where a report names it."""
     return f"n{size}#{idx:03d}"
+
+
+def _lattice_classes(n_max: int) -> list[tuple[tuple[int, ...], DistLattice]]:
+    """(key, L) for one L per class of distributive lattices of 2..n_max
+    elements, key being L's canonical chunks, in the class order of
+    ``enumerate_posets``: by size, then by key.  An n_max past the
+    enumeration cap is refused here, before any class is built.
+
+    By Birkhoff each such L is E(X), X its spectrum, which has fewer points
+    than L has elements, and E(X) determines X up to isomorphism.  So the
+    classes X of 1..n_max-1 points whose down-set lattice has at most n_max
+    elements give every class once, each E(X) certified as a lattice by
+    ``clopen_downset_lattice``."""
+    _refuse_past_enumeration_cap(n_max)
+    found = []
+    for _, _, X in _classes(n_max - 1):
+        try:
+            L, _ = clopen_downset_lattice(X, n_max)
+        except CapExceeded:
+            continue
+        found.append((_canonical_chunks(L.order)[0], L))
+    found.sort(key=lambda kl: (len(kl[0]), kl[0]))
+    return found
+
+
+def _lattice_id(key: tuple[int, ...]) -> str:
+    """Report id of the class with canonical chunks key: the place of its
+    representative, the poset decoded from key, in ``enumerate_posets``."""
+    size = len(key)
+    rep = _decoded(key, _default_labels(size))
+    return _class_id(size, enumerate_posets(size).index(rep))
 
 
 def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:

@@ -16,7 +16,9 @@ searching all bounds (and checked against all bounds), built here for every
 oracle that reads a meet or a join, inclusion orders by
 comparing every two masks, distributivity by trying every triple, the poset
 axioms by looping over every pair and triple, and the enumeration of poset
-classes by keying every candidate with the all-orderings key.
+classes by keying every candidate with the all-orderings key.  The lattice
+classes are found by testing every poset class, with the enumeration and
+the lattice test passed in.
 """
 
 from functools import cache
@@ -623,3 +625,17 @@ def brute_enumerate_posets(n):
                 for a in perm
             )
     return [out[k] for k in sorted(out)]
+
+
+def scan_lattice_classes(enumerate_posets, is_lattice, n_max):
+    """(size, idx, P) for each class P, the idx-th of
+    ``enumerate_posets(size)`` for size = 1..n_max, that is_lattice
+    accepts: the lattice classes found by testing every poset class, in
+    class order, as the library found them before it built E(X) from small
+    spectra."""
+    return [
+        (size, idx, P)
+        for size in range(1, n_max + 1)
+        for idx, P in enumerate(enumerate_posets(size))
+        if is_lattice(P)
+    ]

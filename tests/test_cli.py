@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ordlat as o
 from ordlat import cli, docio
 from ordlat.cli import main
+from oracles import scan_lattice_classes
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -526,6 +527,61 @@ def test_experiments_refuse_past_the_enumeration_cap_up_front(
     code, out, err = run(capsys, "experiments", suite, "--n-max", "8")
     assert (code, out) == (1, "")
     assert err == "error: CapExceeded: poset enumeration capped at n = 7\n"
+
+
+def test_experiments_corollary_names_failures_in_class_order(capsys, monkeypatch):
+    """A failing lattice is named by its class id, in the order of the scan
+    of every poset class: here the checks fail on each lattice with an odd
+    number of comparable pairs."""
+
+    def odd(order):
+        return order.relation_count() % 2 == 1
+
+    def is_lattice(P):
+        try:
+            o.lattice_from_poset(P)
+        except o.OrdlatError:
+            return False
+        return True
+
+    monkeypatch.setattr(cli, "verify_relation_primes",
+                        lambda L, max_size: not odd(L.order))
+    scanned = scan_lattice_classes(o.enumerate_posets, is_lattice, 7)
+    for n_max in (1, 4, 7):
+        code, out, err = run(capsys, "experiments", "corollary",
+                             "--n-max", str(n_max))
+        found = [(size, idx, P) for size, idx, P in scanned if size <= n_max]
+        failures = [f"n{size}#{idx:03d}" for size, idx, P in found if odd(P)]
+        assert (code, err) == (1 if failures else 0, "")
+        assert json.loads(out)["result"] == {
+            "checked": len(found), "failures": failures,
+            "all_pass": not failures}
+    assert failures == ["n2#001", "n4#013", "n5#062", "n6#317", "n7#1994",
+                        "n7#1996", "n7#2039", "n7#2040", "n7#2041", "n7#2042"]
+
+
+# the first refusal of `experiments corollary --n-max 7` under each cap up to
+# 27: the relation lattice of the first lattice, in class order, with more
+# comparable pairs than the cap; at 28, those of chain 7, the suite passes
+COROLLARY_REFUSALS = {
+    cap: f"relation poset has {pairs} elements, cap {cap}"
+    for cap, pairs in enumerate(
+        [3, 3, 3, 6, 6, 6, 9, 9, 9, 10, 14, 14, 14, 14, 15, 18, 18, 18, 20, 20,
+         21, 25, 25, 25, 25, 26, 27, 28])
+}
+
+
+def test_experiments_corollary_obeys_max_size(capsys):
+    for cap, message in COROLLARY_REFUSALS.items():
+        code, out, err = run(
+            capsys, "--max-size", str(cap), "experiments", "corollary",
+            "--n-max", "7")
+        assert (code, out) == (1, ""), cap
+        assert err == f"error: CapExceeded: {message}\n"
+    code, out, err = run(
+        capsys, "--max-size", "28", "experiments", "corollary", "--n-max", "7")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["checked"] == 20
 
 
 # the first refusal of `experiments shift --n-max 3` at each side of each

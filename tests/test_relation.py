@@ -16,6 +16,7 @@ from oracles import (
     brute_relation_rows,
     brute_transpose,
     partner_factor_by_two,
+    scan_lattice_classes,
 )
 
 
@@ -312,6 +313,27 @@ def test_relation_prime_ideals_find_the_irreducibles_of_phi_once(monkeypatch):
             monkeypatch.setattr(module, "_join_irreducibles", counted)
     assert len(closed_form_primes(L)) == 6
     assert sizes == [10]
+
+
+def is_lattice(P):
+    return bool(lattice_valid([P]))
+
+
+def test_lattice_classes_by_birkhoff_match_the_scan_of_every_class():
+    """E(X) over the spectra X of 1..n-1 points gives the classes that
+    testing every poset class of at most n points finds, in the same order,
+    for every n <= 7; the counts by size are OEIS A006982."""
+    scanned = scan_lattice_classes(o.enumerate_posets, is_lattice, 7)
+    for n_max in range(8):
+        route = relation._lattice_classes(n_max)
+        found = [(size, idx, P) for size, idx, P in scanned if size <= n_max]
+        assert [relation._lattice_id(key) for key, _ in route] == [
+            relation._class_id(size, idx) for size, idx, _ in found]
+        for (key, L), (_, _, P) in zip(route, found):
+            assert key == o.canonical_key(P)[0]
+            assert o.is_isomorphic(L.order, P) is not None
+    sizes = [L.n for _, L in relation._lattice_classes(7)]
+    assert [sizes.count(m) for m in range(2, 8)] == [1, 1, 2, 3, 5, 8]
 
 
 def test_verify_relation_primes_small():

@@ -130,6 +130,9 @@ SUITE_PINS = {
         "2aadbd829488651b92181a7666264f482224b4aac34348e39f83b13952356f32",
     ("lemma51", "4"):
         "c10e362a5dacc2f3aefe63bb27692f06c93f915ec3e9bd414372e6c66f7bb830",
+    # recorded while the suite tested every poset class of up to 7 points
+    ("corollary", "7"):
+        "e7854af2f43d4bd17bc998994e9d666025101b610682a1daa9aa1ae0e0f59f31",
 }
 
 
@@ -159,9 +162,28 @@ def test_report_matches_recorded_digest(tmp_path, capsys, case, argv):
     assert digest(capsys, path, argv[0], argv[1:]) == PINS[(case, argv)]
 
 
-@pytest.mark.parametrize("suite,n_max", sorted(SUITE_PINS))
-def test_suite_matches_recorded_digest(capsys, suite, n_max):
+def suite_digest(capsys, suite, n_max):
     code = main(["experiments", suite, "--n-max", n_max])
     out = capsys.readouterr()
-    text = repr((code, out.out, out.err))
-    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_PINS[(suite, n_max)]
+    return hashlib.sha256(repr((code, out.out, out.err)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("suite,n_max", sorted(SUITE_PINS))
+def test_suite_matches_recorded_digest(capsys, suite, n_max):
+    assert suite_digest(capsys, suite, n_max) == SUITE_PINS[(suite, n_max)]
+
+
+def test_corollary_builds_no_seven_point_class(capsys, monkeypatch):
+    """The lattices of up to 7 elements are E(X) for spectra X of at most 6
+    points, so the suite asks for no class of 7 points, cached or not."""
+    from ordlat import poset
+
+    real = poset._enumerate_cached
+
+    def below_seven(n):
+        if n >= 7:
+            raise AssertionError(f"classes of {n} points built")
+        return real(n)
+
+    monkeypatch.setattr(poset, "_enumerate_cached", below_seven)
+    assert suite_digest(capsys, "corollary", "7") == SUITE_PINS[("corollary", "7")]

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from ordlat import docio
 
-from test_cli import SHIFT_REFUSALS
+from test_cli import COROLLARY_REFUSALS, SHIFT_REFUSALS
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -49,6 +49,7 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
     )
     # the shift grid runs each cap the CLI test pins, and the first that passes
     assert same_outputs.SHIFT_CAPS == (*SHIFT_REFUSALS, 168)
+    assert same_outputs.COROLLARY_CAPS == (*COROLLARY_REFUSALS, 28)
     ops = same_outputs.tree_ops(gen, [7], str(tmp_path))
     assert [name for name, _ in ops] == [
         "documents seed 7 op 0 (check_poset)",
@@ -57,6 +58,9 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "sweep lemma51",
         "dimtable",
     ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS] + [
+        f"corollary --n-max {n}" for n in range(1, 8)] + [
+        f"corollary under --max-size {cap}"
+        for cap in same_outputs.COROLLARY_CAPS] + [
         "spec on the 1024-chain lattice",
         "primes on the 1024-chain lattice",
         "downsets on the 200-chain",
@@ -75,6 +79,9 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         ["experiments", "dimtable", "--n-max", "6"],
     ] + [["--max-size", str(cap), "experiments", "shift", "--n-max", "3"]
          for cap in same_outputs.SHIFT_CAPS] + [
+        ["experiments", "corollary", "--n-max", str(n)] for n in range(1, 8)] + [
+        ["--max-size", str(cap), "experiments", "corollary", "--n-max", "7"]
+        for cap in same_outputs.COROLLARY_CAPS] + [
         ["spec", fixed[0]],
         ["primes", fixed[1]],
         ["downsets", fixed[2]],
@@ -99,4 +106,4 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "23 ops, 0 differ\n"
+    assert capsys.readouterr().out == "59 ops, 0 differ\n"

@@ -8,7 +8,10 @@ generating the documents with that tree's ``perfbench/gen.py``: the
 ``documents`` ops of each seed, the four ``sweep`` suites,
 ``experiments dimtable --n-max 6``, ``experiments shift --n-max 3`` under
 each ``--max-size`` in ``SHIFT_CAPS``, which pins the order of the cap
-refusals of down-set lattices, products and relation posets, and the
+refusals of down-set lattices, products and relation posets,
+``experiments corollary`` at each ``--n-max`` up to the enumeration cap and,
+at ``--n-max 7``, under each ``--max-size`` in ``COROLLARY_CAPS``, which pins
+the order in which the suite visits the lattices, and the
 ``fixed_ops``, whose large or odd documents the seeds never reach.  The
 temporary directory that holds a tree's documents reads ``<docs>`` in every
 output, and an op that raises out of ``main`` has the exception as its
@@ -33,6 +36,10 @@ DIMTABLE = ["experiments", "dimtable", "--n-max", "6"]
 # each side of each cap threshold of `experiments shift --n-max 3`: cube 0,
 # E(cube 0) and the relation lattices of E(cube n), n = 0..3
 SHIFT_CAPS = (0, 1, 2, 3, 5, 6, 19, 20, 167, 168)
+# every cap up to 28, the comparable pairs of chain 7, where `experiments
+# corollary --n-max 7` first passes: under each, it refuses the relation
+# lattice of the first lattice, in class order, with more pairs than the cap
+COROLLARY_CAPS = tuple(range(29))
 FIELDS = ("exit", "stdout", "stderr")
 
 
@@ -107,6 +114,11 @@ def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
     ops += [(f"shift under --max-size {cap}",
              ["--max-size", str(cap), "experiments", "shift", "--n-max", "3"])
             for cap in SHIFT_CAPS]
+    ops += [(f"corollary --n-max {n}",
+             ["experiments", "corollary", "--n-max", str(n)]) for n in range(1, 8)]
+    ops += [(f"corollary under --max-size {cap}",
+             ["--max-size", str(cap), "experiments", "corollary", "--n-max", "7"])
+            for cap in COROLLARY_CAPS]
     for k, (name, argv, doc) in enumerate(fixed_ops()):
         path = os.path.join(docdir, f"fixed-{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
