@@ -16,8 +16,8 @@ from .errors import (
     NotOrderPreserving,
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
-from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _bits, _pullback
-from .poset import _transpose, _with_down, down_sets
+from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _Names, _bits, _members
+from .poset import _names_of, _pullback, _transpose, _with_down, down_sets
 
 
 def prime_ideals(L: DistLattice) -> list[int]:
@@ -27,38 +27,42 @@ def prime_ideals(L: DistLattice) -> list[int]:
     return sorted(full & ~L.order.up[j] for j in L.irreducibles)
 
 
-def _inclusion_order(masks: list[int], names) -> Poset:
-    """The bitmasks under inclusion, in list order, each labelled by the
-    names of its members; its down-rows are set as its up-rows are."""
+def _inclusion_order(masks: list[int], width: int, names) -> Poset:
+    """The bitmasks over range(width) under inclusion, in list order, each
+    named on first read by the names of its members among names; its
+    down-rows are set as its up-rows are."""
     # holding[x] / lacking[x]: the masks that contain / omit x; the masks
     # above m hold every member of m, and those below m omit every point
     # outside it
-    holding = _transpose(masks, len(names))
+    holding = _transpose(masks, width)
     full = (1 << len(masks)) - 1
     lacking = [full & ~h for h in holding]
-    outside = (1 << len(names)) - 1
+    outside = (1 << width) - 1
     up = []
     down = []
-    labels = []
     for m in masks:
-        members = list(_bits(m))
         row = full
-        for x in members:
+        for x in _bits(m):
             row &= holding[x]
         up.append(row)
         row = full
         for x in _bits(outside & ~m):
             row &= lacking[x]
         down.append(row)
-        labels.append("{" + ",".join(names[x] for x in members) + "}")
-    return _with_down(len(masks), up, down, labels)
+    return _with_down(len(masks), up, down, _Names(_set_names, masks, names))
+
+
+def _set_names(masks: list[int], names) -> tuple[str, ...]:
+    """"{a,b}" for each mask, a and b the names of its members."""
+    names = _names_of(names)
+    return tuple("{" + ",".join(_members(m, names)) + "}" for m in masks)
 
 
 def spec(L: DistLattice) -> tuple[Poset, list[int]]:
     """The spectrum of L, with its carrier: the poset of prime ideals of L
     under inclusion, point k being the k-th of ``prime_ideals(L)``."""
     ideals = prime_ideals(L)
-    return _inclusion_order(ideals, L.order.labels), ideals
+    return _inclusion_order(ideals, L.n, L.order.labels), ideals
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def clopen_downset_lattice(
             f"down-set lattice of a {X.n}-point poset has more than "
             f"{max_size} elements, cap {max_size} (raise it with --max-size)"
         ) from None
-    return lattice_from_poset(_inclusion_order(ds, X.labels)), ds
+    return lattice_from_poset(_inclusion_order(ds, X.n, X.labels)), ds
 
 
 def e_hom(X: Poset, Y: Poset, g) -> LatticeHom:

@@ -80,9 +80,62 @@ def _transpose(rows, width: int) -> list[int]:
     return out
 
 
+class _Names:
+    """Element names built on first read: ``build(*args)`` returns them as
+    a tuple, once, and the recipe is then dropped, so the parent's names it
+    read are not held twice.  The view equals that tuple either way round,
+    and hashes, iterates, indexes and prints as it does, so a poset named
+    through one equals and hashes as the same poset named eagerly.  Derived
+    posets name their elements this way: a scan that reads no name builds
+    none."""
+
+    __slots__ = ("_recipe", "_names")
+
+    def __init__(self, build, *args):
+        self._recipe = (build, args)
+        self._names = None
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        if self._names is None:
+            build, args = self._recipe
+            self._names = build(*args)
+            self._recipe = None
+        return self._names
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, k):
+        return self.names[k]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __eq__(self, other):
+        if type(other) is _Names:
+            other = other.names
+        if isinstance(other, tuple):
+            return self.names == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return repr(self.names)
+
+
+def _names_of(labels) -> tuple[str, ...]:
+    """The names that labels, a tuple or a ``_Names`` view, stand for."""
+    return labels.names if type(labels) is _Names else labels
+
+
 @dataclass(frozen=True)
 class Poset:
-    """Immutable finite poset; ``up[i]`` is the bitmask of elements >= i."""
+    """Immutable finite poset; ``up[i]`` is the bitmask of elements >= i.
+    ``labels`` is a tuple of element names, or a ``_Names`` view that equals
+    one and builds it on first read."""
 
     n: int
     up: tuple[int, ...]
@@ -158,7 +211,7 @@ class Poset:
         # position t's up-row is the preimage of elems[t]'s up-row
         pull = _pullback(elems, self.n)
         up = tuple(pull(self.up[a]) for a in elems)
-        return Poset(len(elems), up, tuple(self.labels[a] for a in elems))
+        return Poset(len(elems), up, _Names(_picked_names, self.labels, elems))
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j): i < j with nothing strictly between, in
@@ -186,10 +239,16 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
+def _picked_names(labels, elems) -> tuple[str, ...]:
+    """The names of elems among labels, in the order given."""
+    return tuple(map(_names_of(labels).__getitem__, elems))
+
+
 def _with_down(n: int, up, down, labels) -> Poset:
-    """The poset with these up-rows and labels, its down-rows set to
-    ``down`` as it is built, so they are never transposed."""
-    P = Poset(n, tuple(up), tuple(labels))
+    """The poset with these up-rows and labels, a tuple or a ``_Names``
+    view, its down-rows set to ``down`` as it is built, so they are never
+    transposed."""
+    P = Poset(n, tuple(up), labels)
     P.__dict__["down_masks"] = tuple(down)
     return P
 
@@ -269,8 +328,7 @@ def poset_new(size: int, pairs, labels=None) -> Poset:
         for i in pred[k]:
             row |= down[i]
         down[k] = row
-    if labels is None:
-        labels = _default_labels(size)
+    labels = _default_labels(size) if labels is None else tuple(labels)
     return _with_down(size, up, down, labels)
 
 
@@ -324,8 +382,13 @@ def cube(n: int, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
             if i & ~j == 0:
                 row |= 1 << j
         up.append(row)
-    labels = tuple(format(i, f"0{max(n, 1)}b") for i in range(size))
-    return Poset(size, tuple(up), labels)
+    return Poset(size, tuple(up), _Names(_cube_names, n))
+
+
+def _cube_names(n: int) -> tuple[str, ...]:
+    """The coordinate bits of each element of cube n, as n binary digits."""
+    spec = f"0{max(n, 1)}b"
+    return tuple(format(i, spec) for i in range(1 << n))
 
 
 def product(P: Poset, Q: Poset, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
@@ -338,8 +401,8 @@ def product(P: Poset, Q: Poset, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
 
 def _pair_order(P: Poset, Q: Poset, prs) -> Poset:
     """The pairs (p, q) of prs, p in P and q in Q, under the coordinatewise
-    order, in list order, each labelled "(p,q)"; its down-rows are set as
-    its up-rows are.
+    order, in list order, each named "(p,q)" on first read; its down-rows
+    are set as its up-rows are.
 
     The pairs above (p, q) are those whose first component is above p and
     whose second is above q: the and of the or of first[c] over c >= p and
@@ -368,8 +431,15 @@ def _pair_order(P: Poset, Q: Poset, prs) -> Poset:
         len(prs),
         [above1[p] & above2[q] for p, q in prs],
         [below1[p] & below2[q] for p, q in prs],
-        [f"({P.labels[p]},{Q.labels[q]})" for p, q in prs],
+        _Names(_pair_names, P.labels, Q.labels, prs),
     )
+
+
+def _pair_names(first, second, prs) -> tuple[str, ...]:
+    """"(p,q)" for each pair of prs, p and q written by their names among
+    first and second."""
+    first, second = _names_of(first), _names_of(second)
+    return tuple(f"({first[p]},{second[q]})" for p, q in prs)
 
 
 def down_sets(P: Poset, max_count: int = DEFAULT_DOWNSET_COUNT_CAP) -> list[int]:

@@ -293,6 +293,15 @@ def _class_id(size: int, idx: int) -> str:
     return f"n{size}#{idx:03d}"
 
 
+def _antichain_floor(X: Poset) -> int:
+    """A lower bound on the number of down-sets of X, read off its relation
+    count: the antichains of at most two points, the empty one, the n
+    singletons and the n(n-1)/2 - (relations - n) incomparable pairs, each
+    generate a down-set of their own."""
+    n = X.n
+    return 1 + n + n * (n + 1) // 2 - X.relation_count()
+
+
 def _lattice_classes(n_max: int) -> list[tuple[tuple[int, ...], DistLattice]]:
     """(key, L) for one L per class of distributive lattices of 2..n_max
     elements, key being L's canonical chunks, in the class order of
@@ -303,10 +312,13 @@ def _lattice_classes(n_max: int) -> list[tuple[tuple[int, ...], DistLattice]]:
     than L has elements, and E(X) determines X up to isomorphism.  So the
     classes X of 1..n_max-1 points whose down-set lattice has at most n_max
     elements give every class once, each E(X) certified as a lattice by
-    ``clopen_downset_lattice``."""
+    ``clopen_downset_lattice``.  A class whose ``_antichain_floor`` already
+    passes n_max is skipped before its down-sets are listed."""
     _refuse_past_enumeration_cap(n_max)
     found = []
     for _, _, X in _classes(n_max - 1):
+        if _antichain_floor(X) > n_max:
+            continue
         try:
             L, _ = clopen_downset_lattice(X, n_max)
         except CapExceeded:

@@ -495,6 +495,20 @@ def test_dot_labels_keep_backslashes_and_quotes(tmp_path, capsys):
     assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels
 
 
+def test_dot_escapes_names_built_on_first_read():
+    """A derived poset's names, built from given names with quotes and
+    backslashes, are escaped as given names are."""
+    X = o.poset_new(2, [(0, 1)], ['a"', "b\\"])
+    for P, names in (
+        (o.product(X, o.chain(2)), ['(a",0)', '(a",1)', "(b\\,0)", "(b\\,1)"]),
+        (o.clopen_downset_lattice(X)[0].order, ["{}", '{a"}', '{a",b\\}']),
+    ):
+        out = docio.dot_export(P)
+        quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"', out)
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == names
+        assert list(P.labels) == names
+
+
 def test_dot_order_mode(capsys):
     code, out, _ = run(capsys, "dot", fx("chain3_lattice.json"), "--target", "order")
     assert code == 0
@@ -558,6 +572,32 @@ def test_experiments_corollary_names_failures_in_class_order(capsys, monkeypatch
             "all_pass": not failures}
     assert failures == ["n2#001", "n4#013", "n5#062", "n6#317", "n7#1994",
                         "n7#1996", "n7#2039", "n7#2040", "n7#2041", "n7#2042"]
+
+
+def test_scans_build_no_element_names(capsys, monkeypatch):
+    """The experiment suites and the dimension survey print no element
+    name, so they build none: with the name view's build step patched to
+    raise, each gives the same bytes as before."""
+    from ordlat import poset, relation
+
+    suites = [("fixedpoints", "7"), ("corollary", "7"), ("lemma51", "4"),
+              ("shift", "3")]
+
+    def outputs():
+        reports = [run(capsys, "experiments", suite, "--n-max", n_max)
+                   for suite, n_max in suites]
+        return reports, relation.dimension_report(6)
+
+    before = outputs()
+    assert all(code == 0 for code, _, _ in before[0])
+
+    def unnamed(view):
+        raise AssertionError("an element name was built")
+
+    monkeypatch.setattr(poset._Names, "names", property(unnamed))
+    with pytest.raises(AssertionError, match="element name"):
+        o.cube(2).labels[0]
+    assert outputs() == before
 
 
 # the first refusal of `experiments corollary --n-max 7` under each cap up to

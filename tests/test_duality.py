@@ -133,7 +133,7 @@ def mask_lists(draw):
 def test_inclusion_order_matches_pairwise_oracle(drawn):
     size, masks = drawn
     names = [chr(ord("a") + x) for x in range(size)]
-    P = _inclusion_order(masks, names)
+    P = _inclusion_order(masks, size, names)
     assert list(P.up) == brute_inclusion_order(masks)
     assert P.labels == tuple(
         "{" + ",".join(names[x] for x in range(size) if (m >> x) & 1) + "}"

@@ -138,6 +138,65 @@ def test_induced_matches_the_definition():
         assert Q.labels == tuple(P.labels[a] for a in elems)
 
 
+def test_name_view_is_its_tuple():
+    """A ``_Names`` view builds its names once, on first read; it equals
+    their tuple either way round, and hashes, iterates, indexes, measures
+    and prints as it does."""
+    from ordlat.poset import _Names
+
+    calls = []
+
+    def build(k):
+        calls.append(k)
+        return tuple(f"v{i}" for i in range(k))
+
+    view = _Names(build, 3)
+    names = ("v0", "v1", "v2")
+    assert calls == []
+    assert view == names and names == view
+    assert not view != names and not names != view
+    assert view != names[:2] and names[:2] != view
+    assert view != list(names)
+    assert hash(view) == hash(names)
+    assert list(view) == list(names)
+    assert (view[1], view[-1], view[1:]) == ("v1", "v2", names[1:])
+    assert len(view) == 3
+    assert repr(view) == repr(names)
+    assert calls == [3]
+    assert view == _Names(build, 3) and view != _Names(build, 2)
+
+
+def test_lazily_named_posets_equal_eagerly_named_ones():
+    """Products, relation posets, induced subposets, cubes, spectra and
+    down-set lattices name their elements through a view, here down to
+    names of names of given names.  Each equals and hashes as the same
+    poset with its names as a tuple, and round-trips through a document."""
+    from ordlat import docio
+    from ordlat.poset import _Names
+
+    X = o.poset_new(3, [(0, 2), (1, 2)], ["a", 'b"', "c\\"])
+    E = o.clopen_downset_lattice(X)[0]
+    derived = [
+        lambda: o.product(X, o.chain(2)),
+        lambda: o.relation_poset(X)[0],
+        lambda: X.induced([2, 0]),
+        lambda: o.cube(3),
+        lambda: o.spec(o.lattice_from_poset(o.chain(3)))[0],
+        lambda: E.order,
+        lambda: o.spec(o.relation_lattice(E)[0])[0].induced([3, 1, 0]),
+    ]
+    for build in derived:
+        P, named = build(), build()
+        assert type(P.labels) is _Names
+        eager = o.Poset(P.n, P.up, tuple(named.labels))
+        assert hash(P) == hash(eager)
+        assert P == eager and eager == P
+        assert build() == named
+        kind, Q = docio.document_to_poset(docio.poset_to_document(build()))
+        assert (kind, Q) == ("poset", eager)
+    assert E.order.labels == ("{}", "{a}", '{b"}', '{a,b"}', '{a,b",c\\}')
+
+
 def test_chain_and_antichain_counts():
     assert o.chain(3).relation_count() == 6
     assert o.antichain(4).relation_count() == 4

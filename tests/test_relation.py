@@ -336,6 +336,36 @@ def test_lattice_classes_by_birkhoff_match_the_scan_of_every_class():
     assert [sizes.count(m) for m in range(2, 8)] == [1, 1, 2, 3, 5, 8]
 
 
+def test_antichain_floor_bounds_the_down_set_count():
+    """The floor counts the antichains of at most two points, each of which
+    generates its own down-set: it is at most the number of down-sets on
+    every class of n <= 7, and equal exactly on the 343 of width <= 2."""
+    equal = 0
+    for n in range(1, 8):
+        for X in o.enumerate_posets(n):
+            floor, count = relation._antichain_floor(X), len(o.down_sets(X))
+            assert floor <= count
+            assert (floor == count) == (o.width(X) <= 2)
+            equal += floor == count
+    assert equal == 343
+
+
+def test_lattice_classes_list_down_sets_only_within_the_floor(monkeypatch):
+    """Of the 405 classes of 1..6 points, `_lattice_classes(7)` lists the
+    down-sets of the 21 whose antichain floor is at most 7; 20 of them have
+    at most 7 down-sets."""
+    real = relation.clopen_downset_lattice
+    tried = []
+
+    def counted(X, max_size):
+        tried.append(X.n)
+        return real(X, max_size)
+
+    monkeypatch.setattr(relation, "clopen_downset_lattice", counted)
+    assert len(relation._lattice_classes(7)) == 20
+    assert len(tried) == 21
+
+
 def test_verify_relation_primes_small():
     for L in (
         lat(o.chain(2)),

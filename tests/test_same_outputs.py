@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import ordlat as o
 from ordlat import docio
 
 from test_cli import COROLLARY_REFUSALS, SHIFT_REFUSALS
@@ -69,8 +70,12 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "phi as lattice on the 21-chain lattice",
         "phi on escaped labels",
         "phi on the 5-antichain",
+        "image on Phi(E(V)) with escaped labels",
+        "spec on E(N x 2)",
+        "primes on E(N x 2)",
+        "downsets on escaped labels",
     ]
-    fixed = [str(tmp_path / f"fixed-{k}.json") for k in range(8)]
+    fixed = [str(tmp_path / f"fixed-{k}.json") for k in range(12)]
     assert [argv for _, argv in ops] == [
         ["check", str(tmp_path / "7-0.json")],
         ["check", str(tmp_path / "7-1.json")],
@@ -90,20 +95,35 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         ["phi", fixed[5], "--as", "lattice"],
         ["phi", fixed[6]],
         ["phi", fixed[7]],
+        ["image", fixed[8]],
+        ["spec", fixed[9]],
+        ["primes", fixed[10]],
+        ["downsets", fixed[11]],
     ]
     assert json.loads((tmp_path / "7-0.json").read_text()) == doc
     assert (tmp_path / "7-1.json").read_text() == "{"
     # the fixed documents: sizes, and Phi's size for the two phi inputs
     sizes = [json.loads(Path(f).read_text())["size"] for f in fixed]
-    assert sizes == [1024, 1024, 200, 600, 231, 21, 5, 5]
+    assert sizes == [1024, 1024, 200, 600, 231, 21, 5, 5, 14, 31, 31, 5]
     for f, related in ((fixed[3], 924), (fixed[4], 19481)):
         _, P = docio.parse_document(Path(f).read_text())
         assert P.relation_count() == related
     assert json.loads(Path(fixed[6]).read_text())["labels"] == [
         '"', "\\", "\n", "\u00e9", "\u2603"]
+    assert Path(fixed[11]).read_text() == Path(fixed[6]).read_text()
+    # Phi(E(V)) has the 14 pairs of down-sets of V, each name holding a
+    # quote, a backslash and an e-acute; E(N x 2) has as many elements as
+    # E(N) has comparable pairs
+    _, PhiEV = docio.parse_document(Path(fixed[8]).read_text())
+    assert all(set('"\\\u00e9') <= set(name) for name in PhiEV.labels)
+    EV = o.clopen_downset_lattice(o.poset_new(3, [(0, 2), (1, 2)]))[0]
+    assert o.is_isomorphic(PhiEV, o.relation_lattice(EV)[0].order) is not None
+    EN = o.clopen_downset_lattice(o.poset_new(4, [(0, 2), (1, 2), (1, 3)]))[0]
+    _, EN2 = docio.parse_document(Path(fixed[9]).read_text())
+    assert EN2.n == EN.order.relation_count()
 
 
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "59 ops, 0 differ\n"
+    assert capsys.readouterr().out == "63 ops, 0 differ\n"

@@ -12,7 +12,8 @@ refusals of down-set lattices, products and relation posets,
 ``experiments corollary`` at each ``--n-max`` up to the enumeration cap and,
 at ``--n-max 7``, under each ``--max-size`` in ``COROLLARY_CAPS``, which pins
 the order in which the suite visits the lattices, and the
-``fixed_ops``, whose large or odd documents the seeds never reach.  The
+``fixed_ops``, whose large or odd documents the seeds never reach, among
+them reports that name elements by names derived from derived names.  The
 temporary directory that holds a tree's documents reads ``<docs>`` in every
 output, and an op that raises out of ``main`` has the exception as its
 exit.  Prints each op whose exit, stdout or stderr differs, and which of
@@ -74,6 +75,42 @@ def _relation_of_chain(n: int) -> dict:
     return _document("lattice", len(index), covers)
 
 
+def _order(kind: str, items: list, leq, labels=None) -> dict:
+    """The items under leq, every strict pair listed."""
+    pairs = [[i, j] for i, a in enumerate(items) for j, b in enumerate(items)
+             if i != j and leq(a, b)]
+    return _document(kind, len(items), pairs, labels)
+
+
+def _down_sets(points: list, leq) -> list[frozenset]:
+    """The down-sets of the order leq on points, subsets in binary order."""
+    subsets = [frozenset(p for k, p in enumerate(points) if bits >> k & 1)
+               for bits in range(1 << len(points))]
+    return [s for s in subsets
+            if all(q in s for p in s for q in points if leq(q, p))]
+
+
+def _v_relation() -> dict:
+    """Phi(E(V)) as a lattice, V the 3-point poset 0, 1 < 2: the 14 pairs
+    d <= e of down-sets of V, coordinatewise, named with a quote, a
+    backslash and an e-acute, so `image` names its witness by names of
+    names."""
+    ds = _down_sets([0, 1, 2], lambda a, b: a == b or b == 2)
+    prs = [(d, e) for d in ds for e in ds if d <= e]
+    labels = [f'"{k}\\\u00e9' for k in range(len(prs))]
+    return _order("lattice", prs, lambda p, q: p[0] <= q[0] and p[1] <= q[1],
+                  labels)
+
+
+def _n_times_two() -> dict:
+    """E(N x 2) as a lattice, N the 4-point poset 0, 1 < 2 and 1 < 3."""
+    below = {(0, 2), (1, 2), (1, 3)}
+    points = [(x, b) for x in range(4) for b in range(2)]
+    ds = _down_sets(points, lambda p, q: (p[0] == q[0] or (p[0], q[0]) in below)
+                    and p[1] <= q[1])
+    return _order("lattice", ds, frozenset.__le__)
+
+
 def fixed_ops() -> list[tuple[str, list[str], dict]]:
     """(name, argv, document) of the ops on large or odd documents, each
     built here in plain Python; ``@doc`` in argv is the document's file.
@@ -81,6 +118,8 @@ def fixed_ops() -> list[tuple[str, list[str], dict]]:
     Phi(chain 21) at the default cap; on chain 21 it writes Phi(chain 21)."""
     chain1024 = _chain(1024, "lattice")
     labels = ['"', "\\", "\n", "\u00e9", "\u2603"]
+    escaped = _document("poset", 5, [[0, 1], [1, 2], [0, 3]], labels)
+    n_times_two = _n_times_two()
     return [
         ("spec on the 1024-chain lattice", ["spec", "@doc"], chain1024),
         ("primes on the 1024-chain lattice", ["primes", "@doc"], chain1024),
@@ -90,9 +129,13 @@ def fixed_ops() -> list[tuple[str, list[str], dict]]:
          _relation_of_chain(21)),
         ("phi as lattice on the 21-chain lattice",
          ["phi", "@doc", "--as", "lattice"], _chain(21, "lattice")),
-        ("phi on escaped labels", ["phi", "@doc"],
-         _document("poset", 5, [[0, 1], [1, 2], [0, 3]], labels)),
+        ("phi on escaped labels", ["phi", "@doc"], escaped),
         ("phi on the 5-antichain", ["phi", "@doc"], _document("poset", 5, [])),
+        ("image on Phi(E(V)) with escaped labels", ["image", "@doc"],
+         _v_relation()),
+        ("spec on E(N x 2)", ["spec", "@doc"], n_times_two),
+        ("primes on E(N x 2)", ["primes", "@doc"], n_times_two),
+        ("downsets on escaped labels", ["downsets", "@doc"], escaped),
     ]
 
 
