@@ -16,7 +16,7 @@ from .errors import (
     NotOrderPreserving,
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
-from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _Names, _bits, _members
+from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _Names, _members
 from .poset import _names_of, _pullback, _transpose, _with_down, down_sets
 
 
@@ -42,12 +42,18 @@ def _inclusion_order(masks: list[int], width: int, names) -> Poset:
     down = []
     for m in masks:
         row = full
-        for x in _bits(m):
-            row &= holding[x]
+        rest = m
+        while rest:
+            low = rest & -rest
+            row &= holding[low.bit_length() - 1]
+            rest ^= low
         up.append(row)
         row = full
-        for x in _bits(outside & ~m):
-            row &= lacking[x]
+        rest = outside & ~m
+        while rest:
+            low = rest & -rest
+            row &= lacking[low.bit_length() - 1]
+            rest ^= low
         down.append(row)
     return _with_down(len(masks), up, down, _Names(_set_names, masks, names))
 

@@ -15,7 +15,7 @@ from .errors import (
     NotHomomorphism,
     Unbounded,
 )
-from .poset import Poset, _bits, _down_set_fold, _pullback
+from .poset import Poset, _down_set_fold, _pullback
 
 DEFAULT_HOM_CAP = 6
 
@@ -62,8 +62,11 @@ def _is_birkhoff(P: Poset, irreducibles: list[int]) -> bool:
     in_j = sum(1 << j for j in irreducibles)
     for a in range(P.n):
         row = full
-        for j in _bits(down[a] & in_j):
-            row &= up[j]
+        rest = down[a] & in_j
+        while rest:
+            low = rest & -rest
+            row &= up[low.bit_length() - 1]
+            rest ^= low
         if row != up[a]:
             return False
     try:

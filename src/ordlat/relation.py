@@ -162,14 +162,11 @@ def _relation_downset_iso(X: Poset, max_size: int) -> tuple[IsoWitness, Poset]:
     PhiE, prs = relation_lattice(E, max_size=max_size)
     X2 = product(X, chain(2), max_size)
     E2, ds2 = clopen_downset_lattice(X2, max_size)
-    layered = []
-    for i, j in prs:
-        c = 0
-        for x in _bits(ds[i]):
-            c |= 1 << (2 * x + 1)
-        for x in _bits(ds[j]):
-            c |= 1 << (2 * x)
-        layered.append(c)
+    # (x, 0) of X x 2 is point 2x and (x, 1) is 2x + 1: spreading a
+    # down-set's binary digits apart by zeros moves each x to 2x, onto the
+    # bottom layer, and one shift more puts it on the top layer
+    spread = [int("0".join(format(d, "b")), 2) for d in ds]
+    layered = [spread[i] << 1 | spread[j] for i, j in prs]
     return _certified(PhiE.order, E2.order, layered, ds2, "layer map"), X2
 
 
@@ -302,11 +299,12 @@ def _antichain_floor(X: Poset) -> int:
     return 1 + n + n * (n + 1) // 2 - X.relation_count()
 
 
-def _lattice_classes(n_max: int) -> list[tuple[tuple[int, ...], DistLattice]]:
-    """(key, L) for one L per class of distributive lattices of 2..n_max
-    elements, key being L's canonical chunks, in the class order of
-    ``enumerate_posets``: by size, then by key.  An n_max past the
-    enumeration cap is refused here, before any class is built.
+def _lattice_classes(n_max: int) -> list[DistLattice]:
+    """One L per class of distributive lattices of 2..n_max elements, in
+    the class order of their spectra, unkeyed: ``_in_class_order`` puts
+    the ones a report names into the class order of ``enumerate_posets``.
+    An n_max past the enumeration cap is refused here, before any class is
+    built.
 
     By Birkhoff each such L is E(X), X its spectrum, which has fewer points
     than L has elements, and E(X) determines X up to isomorphism.  So the
@@ -323,9 +321,20 @@ def _lattice_classes(n_max: int) -> list[tuple[tuple[int, ...], DistLattice]]:
             L, _ = clopen_downset_lattice(X, n_max)
         except CapExceeded:
             continue
-        found.append((_canonical_chunks(L.order)[0], L))
-    found.sort(key=lambda kl: (len(kl[0]), kl[0]))
+        found.append(L)
     return found
+
+
+def _in_class_order(
+    lattices: list[DistLattice],
+) -> list[tuple[tuple[int, ...], DistLattice]]:
+    """(key, L) for each L of lattices, key being L's canonical chunks, in
+    the class order of ``enumerate_posets``: by size, then by key.  A key
+    costs more than the checks of a small lattice, so only the lattices
+    that a report names are keyed."""
+    keyed = [(_canonical_chunks(L.order)[0], L) for L in lattices]
+    keyed.sort(key=lambda kl: (len(kl[0]), kl[0]))
+    return keyed
 
 
 def _lattice_id(key: tuple[int, ...]) -> str:
@@ -346,14 +355,24 @@ def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
     """
     if mode not in FIXED_POINT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    return _fixed_points(_fixed_point_candidates(n_max), n_max, mode)
+
+
+def _fixed_point_candidates(n_max: int) -> list[tuple[int, int, Poset]]:
+    """(size, idx, P) for the classes of 1..n_max points that can be fixed
+    points: |Phi(P)| is the number of related pairs, so P can only be one
+    when its sole related pairs are the diagonal ones.  One scan serves
+    every mode."""
+    return [(size, idx, P) for size, idx, P in _classes(n_max)
+            if P.relation_count() == P.n]
+
+
+def _fixed_points(candidates, n_max: int, mode: str) -> FixedPointReport:
+    """``find_fixed_points`` over the ``_fixed_point_candidates`` of n_max:
+    the mode's own test runs on those few."""
     hits = []
     hit_posets = []
-    for size, idx, P in _classes(n_max):
-        # |Phi(P)| is the number of related pairs, so P can only be a fixed
-        # point when its sole related pairs are the diagonal ones; the
-        # mode's own test runs on those few
-        if P.relation_count() != P.n:
-            continue
+    for size, idx, P in candidates:
         if mode == "lattices":
             try:
                 lattice_from_poset(P)

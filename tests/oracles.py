@@ -7,6 +7,7 @@ lattice bounds on the definitions, antichains by subset search,
 isomorphism and the canonical key by trying every bijection (the key also by
 a search over every least prefix, merging prefixes by their codes),
 factorizations by two by a partner search that tests every placed pair,
+the layered down-sets of X x 2 of Lemma 5.1 point by point,
 isomorphism witnesses, order-preserving maps and preimages by looping over
 every pair or point, transposes and unit images by testing every bit,
 dimension by combining raw linear extensions or by a set cover over them,
@@ -448,6 +449,19 @@ def brute_down_sets(P):
         if ok:
             out.append(mask)
     return out
+
+
+def brute_layered_down_set(d, e, n):
+    """The down-set of X x 2, X of n points and (x, c) at index 2x + c,
+    that holds (x, 1) for each x in d and (x, 0) for each x in e, set one
+    point at a time: the image of the pair d <= e under Lemma 5.1."""
+    mask = 0
+    for x in range(n):
+        if (d >> x) & 1:
+            mask |= 1 << (2 * x + 1)
+        if (e >> x) & 1:
+            mask |= 1 << (2 * x)
+    return mask
 
 
 @cache

@@ -4,6 +4,8 @@ preimages that ``e_hom`` and ``spec_hom`` compute, the transposes and unit
 images that the duality maps are read from, and the failures of the one
 lookup-and-certify step they all go through."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,10 +178,39 @@ def test_spec_hom_on_every_small_hom_matches_the_preimage_loop():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_transpose_is_the_bit_loop(data):
-    width = data.draw(st.integers(0, 12))
-    row = st.integers(0, (1 << width) - 1)
-    rows = data.draw(st.lists(row, max_size=12))
+    """Up to 200 rows up to 200 wide, each dense (any mask) or sparse (at
+    most three bits), in any mix: the input runs from empty to about half
+    full, so both routes and the switch between them are met."""
+    width = data.draw(st.integers(0, 200))
+    dense = st.integers(0, (1 << width) - 1)
+    sparse = st.lists(st.integers(0, max(width - 1, 0)), max_size=3).map(
+        lambda js: sum(1 << j for j in set(js)) if width else 0)
+    rows = data.draw(st.lists(st.one_of(dense, sparse), max_size=200))
     assert _transpose(rows, width) == brute_transpose(rows, width)
+
+
+def test_transpose_through_the_switch():
+    """Bits set one at a time, in a random order, until the rows are full:
+    every count of set bits from empty to full, for rows of each shape."""
+    rng = random.Random(24)
+    for count, width in [(12, 12), (40, 8), (8, 40), (3, 30), (30, 3), (1, 1)]:
+        cells = [(i, j) for i in range(count) for j in range(width)]
+        rng.shuffle(cells)
+        rows = [0] * count
+        assert _transpose(rows, width) == brute_transpose(rows, width)
+        for i, j in cells:
+            rows[i] |= 1 << j
+            assert _transpose(rows, width) == brute_transpose(rows, width)
+    # 200 x 200, every 97 bits up to an eighth full, then full
+    cells = [(i, j) for i in range(200) for j in range(200)]
+    rng.shuffle(cells)
+    rows = [0] * 200
+    for k, (i, j) in enumerate(cells[:5000]):
+        rows[i] |= 1 << j
+        if k % 97 == 0:
+            assert _transpose(rows, 200) == brute_transpose(rows, 200)
+    rows = [(1 << 200) - 1] * 200
+    assert _transpose(rows, 200) == brute_transpose(rows, 200)
 
 
 def test_unit_images_are_the_omitting_loop():

@@ -611,6 +611,39 @@ COROLLARY_REFUSALS = {
 }
 
 
+def test_experiments_corollary_keys_only_the_lattices_it_names(
+        capsys, monkeypatch):
+    """A passing scan keys no lattice; a failing one keys its failures
+    only, and a refused one only the lattices with more comparable pairs
+    than the cap, to find the first of them in class order."""
+    from ordlat import relation
+
+    real = relation._canonical_chunks
+    keyed = []
+
+    def counted(P):
+        keyed.append(P.relation_count())
+        return real(P)
+
+    monkeypatch.setattr(relation, "_canonical_chunks", counted)
+    code, _, _ = run(capsys, "experiments", "corollary", "--n-max", "7")
+    assert (code, keyed) == (0, [])
+    pairs = [L.order.relation_count() for L in relation._lattice_classes(7)]
+    for cap in COROLLARY_REFUSALS:
+        keyed.clear()
+        code, _, _ = run(capsys, "--max-size", str(cap), "experiments",
+                         "corollary", "--n-max", "7")
+        assert code == 1
+        assert sorted(keyed) == sorted(p for p in pairs if p > cap), cap
+    monkeypatch.setattr(cli, "verify_relation_primes",
+                        lambda L, max_size: L.order.relation_count() % 2 == 0)
+    keyed.clear()
+    code, out, _ = run(capsys, "experiments", "corollary", "--n-max", "7")
+    assert code == 1
+    assert len(keyed) == len(json.loads(out)["result"]["failures"]) == 10
+    assert all(p % 2 for p in keyed)
+
+
 def test_experiments_corollary_obeys_max_size(capsys):
     for cap, message in COROLLARY_REFUSALS.items():
         code, out, err = run(

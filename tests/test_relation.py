@@ -11,6 +11,7 @@ from oracles import (
     brute_check_tables,
     brute_dimension,
     brute_iso,
+    brute_layered_down_set,
     brute_pair_order,
     brute_prime_ideals,
     brute_relation_rows,
@@ -321,18 +322,19 @@ def is_lattice(P):
 
 def test_lattice_classes_by_birkhoff_match_the_scan_of_every_class():
     """E(X) over the spectra X of 1..n-1 points gives the classes that
-    testing every poset class of at most n points finds, in the same order,
-    for every n <= 7; the counts by size are OEIS A006982."""
+    testing every poset class of at most n points finds, in the same order
+    once keyed into class order, for every n <= 7; the counts by size are
+    OEIS A006982."""
     scanned = scan_lattice_classes(o.enumerate_posets, is_lattice, 7)
     for n_max in range(8):
-        route = relation._lattice_classes(n_max)
+        route = relation._in_class_order(relation._lattice_classes(n_max))
         found = [(size, idx, P) for size, idx, P in scanned if size <= n_max]
         assert [relation._lattice_id(key) for key, _ in route] == [
             relation._class_id(size, idx) for size, idx, _ in found]
         for (key, L), (_, _, P) in zip(route, found):
             assert key == o.canonical_key(P)[0]
             assert o.is_isomorphic(L.order, P) is not None
-    sizes = [L.n for _, L in relation._lattice_classes(7)]
+    sizes = [L.n for L in relation._lattice_classes(7)]
     assert [sizes.count(m) for m in range(2, 8)] == [1, 1, 2, 3, 5, 8]
 
 
@@ -421,6 +423,19 @@ def test_relation_downset_iso_frozen_chain2():
     # layered map for X = 2-chain, computed by hand over the 6 carriers
     w = o.relation_downset_iso(o.chain(2))
     assert w.forward == (0, 1, 3, 2, 4, 5)
+
+
+def test_relation_downset_iso_sends_each_pair_to_its_layers():
+    """Pair k of Phi(E(X)), the k-th d <= e of down-sets of X, goes to the
+    down-set of X x 2 with d on its top layer and e on its bottom one, for
+    every class of at most four points and for cube 3."""
+    spaces = [X for n in range(1, 5) for X in o.enumerate_posets(n)]
+    for X in spaces + [o.cube(3)]:
+        ds = o.down_sets(X)
+        ds2 = o.down_sets(o.product(X, o.chain(2)))
+        prs = [(d, e) for d in ds for e in ds if d & ~e == 0]
+        assert o.relation_downset_iso(X).forward == tuple(
+            ds2.index(brute_layered_down_set(d, e, X.n)) for d, e in prs)
 
 
 def test_relation_downset_iso_singleton():

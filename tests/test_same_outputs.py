@@ -58,6 +58,7 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "documents seed 7 op 2 (experiments)",
         "sweep lemma51",
         "dimtable",
+        "lemma51 --n-max 6",
     ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS] + [
         f"corollary --n-max {n}" for n in range(1, 8)] + [
         f"corollary under --max-size {cap}"
@@ -82,6 +83,7 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         ["experiments", "shift", "--n-max", "1"],
         ["experiments", "lemma51", "--n-max", "2"],
         ["experiments", "dimtable", "--n-max", "6"],
+        ["experiments", "lemma51", "--n-max", "6"],
     ] + [["--max-size", str(cap), "experiments", "shift", "--n-max", "3"]
          for cap in same_outputs.SHIFT_CAPS] + [
         ["experiments", "corollary", "--n-max", str(n)] for n in range(1, 8)] + [
@@ -126,4 +128,4 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "63 ops, 0 differ\n"
+    assert capsys.readouterr().out == "64 ops, 0 differ\n"

@@ -6,7 +6,8 @@ Each tree runs the same CLI ops through ``ordlat.cli.main`` in a child
 process of its own, importing the package from that tree's ``src/`` and
 generating the documents with that tree's ``perfbench/gen.py``: the
 ``documents`` ops of each seed, the four ``sweep`` suites,
-``experiments dimtable --n-max 6``, ``experiments shift --n-max 3`` under
+``experiments dimtable --n-max 6``, ``experiments lemma51 --n-max 6``,
+``experiments shift --n-max 3`` under
 each ``--max-size`` in ``SHIFT_CAPS``, which pins the order of the cap
 refusals of down-set lattices, products and relation posets,
 ``experiments corollary`` at each ``--n-max`` up to the enumeration cap and,
@@ -34,6 +35,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIMTABLE = ["experiments", "dimtable", "--n-max", "6"]
+# Lemma 5.1 on every class of up to 6 points: E(X x 2) reaches 729
+# elements, past what the sweep's suites build
+LEMMA51 = ["experiments", "lemma51", "--n-max", "6"]
 # each side of each cap threshold of `experiments shift --n-max 3`: cube 0,
 # E(cube 0) and the relation lattices of E(cube n), n = 0..3
 SHIFT_CAPS = (0, 1, 2, 3, 5, 6, 19, 20, 167, 168)
@@ -154,6 +158,7 @@ def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
             ops.append((f"documents seed {seed} op {k} ({op['kind']})", argv))
     ops += [(f"sweep {op['kind']}", op["argv"]) for op in gen.sweep(0)]
     ops.append(("dimtable", DIMTABLE))
+    ops.append(("lemma51 --n-max 6", LEMMA51))
     ops += [(f"shift under --max-size {cap}",
              ["--max-size", str(cap), "experiments", "shift", "--n-max", "3"])
             for cap in SHIFT_CAPS]
