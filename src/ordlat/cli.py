@@ -4,6 +4,7 @@ Exit codes: 0 for success / a positive verdict, 1 for a negative verdict or
 counterexample (including caps), 2 for usage or parse errors.  Reports are
 deterministic JSON (CSV for the dimension table); wall-clock timing is
 deliberately kept out of the payload so identical runs are byte-identical.
+The ``experiments`` suites are public reports of ``relation``, written here.
 """
 
 from __future__ import annotations
@@ -26,21 +27,14 @@ from .lattice import lattice_from_poset
 from .duality import clopen_downset_lattice, prime_ideals, spec
 from .poset import DEFAULT_DIMENSION_CAP, DEFAULT_MAX_SIZE, _members
 from .relation import (
-    FIXED_POINT_MODES,
-    _class_id,
-    _classes,
-    _fixed_point_candidates,
-    _fixed_points,
-    _in_class_order,
-    _lattice_classes,
-    _lattice_id,
-    cube_shift_check,
+    corollary_report,
     dimension_report,
-    relation_downset_iso,
+    fixed_points_report,
+    lemma51_report,
     relation_image_witness,
     relation_lattice,
     relation_poset,
-    verify_relation_primes,
+    shift_report,
 )
 
 
@@ -295,69 +289,23 @@ def cmd_image(args) -> tuple[str, int]:
     return _report(args, result, {"input": args.input}), 0
 
 
-def _suite_corollary(n_max: int, max_size: int) -> tuple[dict, int]:
-    lattices = _lattice_classes(n_max)
-    # the check refuses, by relation_poset's cap, exactly the lattices with
-    # more comparable pairs than max_size: the first of them in class order
-    # is refused before any lattice is checked
-    refused = [L for L in lattices if L.order.relation_count() > max_size]
-    if refused:
-        verify_relation_primes(_in_class_order(refused)[0][1], max_size=max_size)
-    failed = [L for L in lattices
-              if not verify_relation_primes(L, max_size=max_size)]
-    failures = [_lattice_id(key) for key, _ in _in_class_order(failed)]
-    result = {"checked": len(lattices), "failures": failures,
-              "all_pass": not failures}
-    return result, 0 if not failures else 1
-
-
-def _suite_lemma51(n_max: int, max_size: int) -> tuple[dict, int]:
-    checked = []
-    for size, idx, X in _classes(n_max):
-        relation_downset_iso(X, max_size=max_size)
-        checked.append(_class_id(size, idx))
-    return {"checked": checked, "all_pass": True}, 0
-
-
-def _suite_fixedpoints(n_max: int, max_size: int) -> tuple[dict, int]:
-    out = {}
-    candidates = _fixed_point_candidates(n_max)
-    for mode in FIXED_POINT_MODES:
-        rep = _fixed_points(candidates, n_max, mode)
-        out[mode] = {"hits": list(rep.hits), "expectation": rep.expectation}
-    return {"modes": out, "all_pass": True}, 0
-
-
-def _suite_shift(n_max: int, max_size: int) -> tuple[dict, int]:
-    results = {}
-    for n in range(0, min(n_max, 3) + 1):
-        # the witness's domain is Phi(E(cube n)), one element per
-        # comparable pair of E(cube n); a failed check raises
-        w = cube_shift_check(n, max_size)
-        results[str(n)] = {"pass": True, "comparable_pairs": len(w.forward)}
-    return {"cases": results, "all_pass": True}, 0
-
-
 def _suite_dimtable(n_max: int, max_dim_size: int) -> str:
-    rows = dimension_report(n_max, dim_cap=max_dim_size)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "size", "dim", "dim_rel", "width", "width_rel"])
-    for r in rows:
-        writer.writerow(
-            [r["id"], r["size"], r["dim"], r["dim_rel"], r["width"], r["width_rel"]]
-        )
+    writer = csv.DictWriter(buf, ["id", "size", "dim", "dim_rel", "width",
+                                  "width_rel"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(dimension_report(n_max, dim_cap=max_dim_size))
     return buf.getvalue()
 
 
 # the suites in the order that ``--help`` and usage errors list them; each
-# takes (n_max, max_size) and returns (result, exit code), but dimtable,
-# which takes (n_max, max_dim_size) and returns its CSV
+# is a report of ``relation``, taking (n_max, max_size) and returning its
+# result, but dimtable, which takes (n_max, max_dim_size) and returns its CSV
 SUITES = {
-    "corollary": _suite_corollary,
-    "lemma51": _suite_lemma51,
-    "fixedpoints": _suite_fixedpoints,
-    "shift": _suite_shift,
+    "corollary": corollary_report,
+    "lemma51": lemma51_report,
+    "fixedpoints": fixed_points_report,
+    "shift": shift_report,
     "dimtable": _suite_dimtable,
 }
 
@@ -366,9 +314,9 @@ def cmd_experiments(args) -> tuple[str, int]:
     suite = SUITES[args.suite]
     if args.suite == "dimtable":
         return suite(args.n_max, args.max_dim_size), 0
-    result, code = suite(args.n_max, args.max_size)
+    result = suite(args.n_max, args.max_size)
     extra = {"suite": args.suite, "n_max": args.n_max}
-    return _report(args, result, extra), code
+    return _report(args, result, extra), 0 if result["all_pass"] else 1
 
 
 def cmd_dot(args) -> tuple[str, int]:

@@ -57,10 +57,13 @@ def _is_birkhoff(P: Poset, irreducibles: list[int]) -> bool:
 
     The map reflects the order iff each up-row is the AND of the up-rows of
     the J below it, and is then one-to-one; it is onto iff J has exactly
-    n down-sets, counted on P's own down-rows with the count capped at n."""
+    n down-sets, counted on P's own down-rows with the count capped at n.
+    Rows of J are skipped: every J below a in J holds up[a], a's own too."""
     up, down, full = P.up, P.down_masks, P.full_mask
     in_j = sum(1 << j for j in irreducibles)
     for a in range(P.n):
+        if in_j >> a & 1:
+            continue
         row = full
         rest = down[a] & in_j
         while rest:

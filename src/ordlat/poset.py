@@ -314,6 +314,9 @@ def poset_new(size: int, pairs, labels=None) -> Poset:
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
+    labels = _default_labels(size) if labels is None else tuple(labels)
+    if len(labels) != size:
+        raise ValueError(f"{len(labels)} labels for {size} elements")
     succ = [[] for _ in range(size)]
     pred = [[] for _ in range(size)]
     for i, j in pairs:
@@ -342,7 +345,6 @@ def poset_new(size: int, pairs, labels=None) -> Poset:
         for i in pred[k]:
             row |= down[i]
         down[k] = row
-    labels = _default_labels(size) if labels is None else tuple(labels)
     return _with_down(size, up, down, labels)
 
 

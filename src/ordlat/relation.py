@@ -1,7 +1,8 @@
 """The order-relation functor: the relation of a poset/lattice, regarded as a
 structure in its own right under the coordinatewise order, together with the
 prime-ideal bookkeeping, the two-copy factorization criterion for membership
-in its image, and desk-scale fixed-point and dimension surveys.
+in its image, and desk-scale fixed-point and dimension surveys: the
+``experiments`` suites, with the class walk and ``n{size}#{idx}`` ids.
 """
 
 from __future__ import annotations
@@ -412,6 +413,54 @@ def cube_shift_check(n: int, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     return w
 
 
+def corollary_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
+    """The ``corollary`` suite: ``verify_relation_primes`` on one L per
+    class of distributive lattices of 2..n_max elements.  The check refuses
+    exactly the L with more comparable pairs than max_size, so the first of
+    those in class order is refused before any L is checked."""
+    lattices = _lattice_classes(n_max)
+    refused = [L for L in lattices if L.order.relation_count() > max_size]
+    if refused:
+        verify_relation_primes(_in_class_order(refused)[0][1], max_size=max_size)
+    failed = [L for L in lattices
+              if not verify_relation_primes(L, max_size=max_size)]
+    failures = [_lattice_id(key) for key, _ in _in_class_order(failed)]
+    return {"checked": len(lattices), "failures": failures,
+            "all_pass": not failures}
+
+
+def lemma51_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
+    """The ``lemma51`` suite: ``relation_downset_iso`` on every class of
+    1..n_max points, which raises on a failed certificate."""
+    checked = []
+    for size, idx, X in _classes(n_max):
+        relation_downset_iso(X, max_size=max_size)
+        checked.append(_class_id(size, idx))
+    return {"checked": checked, "all_pass": True}
+
+
+def fixed_points_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
+    """The ``fixedpoints`` suite: ``find_fixed_points`` in each mode, over
+    one scan of the classes.  Phi(P) is built under the default cap, so
+    max_size is not read."""
+    candidates = _fixed_point_candidates(n_max)
+    modes = {}
+    for mode in FIXED_POINT_MODES:
+        rep = _fixed_points(candidates, n_max, mode)
+        modes[mode] = {"hits": list(rep.hits), "expectation": rep.expectation}
+    return {"modes": modes, "all_pass": True}
+
+
+def shift_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
+    """The ``shift`` suite: ``cube_shift_check`` for n = 0..n_max, under
+    max_size alone, counting E(cube n)'s comparable pairs (Phi's points)."""
+    cases = {}
+    for n in range(n_max + 1):
+        w = cube_shift_check(n, max_size)
+        cases[str(n)] = {"pass": True, "comparable_pairs": len(w.forward)}
+    return {"cases": cases, "all_pass": True}
+
+
 def dimension_report(
     n_max: int, dim_cap: int = DEFAULT_DIMENSION_CAP
 ) -> list[dict]:
@@ -423,11 +472,8 @@ def dimension_report(
     so dim P <= dim Phi(P) <= 2 dim P; a row breaking this raises
     InternalError.
     """
-    classes = _classes(n_max)  # the enumeration cap is refused first
-    if n_max > 6:
-        raise CapExceeded("dimension report capped at n_max = 6")
     rows = []
-    for size, idx, P in classes:
+    for size, idx, P in _classes(n_max):
         RP, _ = relation_poset(P)
         dim_p = order_dimension(P, cap=dim_cap) if P.n <= dim_cap else None
         dim_rp = order_dimension(RP, cap=dim_cap) if RP.n <= dim_cap else None

@@ -15,7 +15,9 @@ down-sets and prime ideals by filtering the power set, ideals, filters and
 prime ideals of a given mask on their definitions, lattice tables by
 searching all bounds (and checked against all bounds), built here for every
 oracle that reads a meet or a join, inclusion orders by
-comparing every two masks, distributivity by trying every triple, the poset
+comparing every two masks, distributivity by trying every triple, the
+Birkhoff map check on every row with its down-sets counted over every
+subset, the poset
 axioms by looping over every pair and triple, and the enumeration of poset
 classes by keying every candidate with the all-orderings key.  The lattice
 classes are found by testing every poset class, with the enumeration and
@@ -653,3 +655,26 @@ def scan_lattice_classes(enumerate_posets, is_lattice, n_max):
         for idx, P in enumerate(enumerate_posets(size))
         if is_lattice(P)
     ]
+
+
+def all_rows_birkhoff(P, irreducibles):
+    """The Birkhoff map check with every row tested, the irreducibles' rows
+    too: each up-row is the AND of the up-rows of the irreducibles below
+    it, and the irreducibles have exactly n down-sets, counted over all
+    their subsets."""
+    J = list(irreducibles)
+    full = (1 << P.n) - 1
+    for a in range(P.n):
+        row = full
+        for j in J:
+            if P.leq(j, a):
+                row &= P.up[j]
+        if row != P.up[a]:
+            return False
+    k = len(J)
+
+    def closed(bits):
+        return all(bits >> t & 1 for s in range(k) if bits >> s & 1
+                   for t in range(k) if P.leq(J[t], J[s]))
+
+    return sum(map(closed, range(1 << k))) == P.n

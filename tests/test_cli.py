@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordlat as o
-from ordlat import cli, docio
+from ordlat import cli, docio, relation
 from ordlat.cli import main
 from oracles import scan_lattice_classes
 
@@ -558,7 +558,7 @@ def test_experiments_corollary_names_failures_in_class_order(capsys, monkeypatch
             return False
         return True
 
-    monkeypatch.setattr(cli, "verify_relation_primes",
+    monkeypatch.setattr(relation, "verify_relation_primes",
                         lambda L, max_size: not odd(L.order))
     scanned = scan_lattice_classes(o.enumerate_posets, is_lattice, 7)
     for n_max in (1, 4, 7):
@@ -635,7 +635,7 @@ def test_experiments_corollary_keys_only_the_lattices_it_names(
                          "corollary", "--n-max", "7")
         assert code == 1
         assert sorted(keyed) == sorted(p for p in pairs if p > cap), cap
-    monkeypatch.setattr(cli, "verify_relation_primes",
+    monkeypatch.setattr(relation, "verify_relation_primes",
                         lambda L, max_size: L.order.relation_count() % 2 == 0)
     keyed.clear()
     code, out, _ = run(capsys, "experiments", "corollary", "--n-max", "7")
@@ -744,6 +744,62 @@ def test_experiments_dimtable_6_matches_recorded_digest(capsys):
     assert code == 0
     assert len(out.splitlines()) == 1 + 1 + 2 + 5 + 16 + 63 + 318
     assert hashlib.sha256(out.encode()).hexdigest() == DIMTABLE_6_SHA256
+
+
+# SHA-256 of `experiments dimtable --n-max 7` at the default --max-dim-size
+# of 10, recorded when the n_max = 6 refusal was dropped
+DIMTABLE_7_SHA256 = "fabdd97022eccf66c7d7a8f0fc873484b8ad2ff12fa4ab4571473269d3128f02"
+
+
+def test_experiments_dimtable_7_is_bounded_by_the_dimension_cap(capsys):
+    """At n = 7 the table is bounded by the enumeration cap and
+    --max-dim-size alone: 2,450 rows, the n <= 6 table first."""
+    code, out, _ = run(capsys, "experiments", "dimtable", "--n-max", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 2450
+    assert sum(line.split(",")[1] == "7" for line in lines) == 2045
+    _, six, _ = run(capsys, "experiments", "dimtable", "--n-max", "6")
+    assert out.startswith(six)
+    assert hashlib.sha256(out.encode()).hexdigest() == DIMTABLE_7_SHA256
+
+
+def test_experiments_shift_is_bounded_by_max_size_alone(capsys):
+    """`shift --n-max 4` runs n = 0..4: at the default cap the relation
+    lattice of E(cube 4) is refused, and with the cap raised to its size
+    the suite passes."""
+    code, out, err = run(capsys, "experiments", "shift", "--n-max", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: CapExceeded: relation poset has 7581 elements, cap 1024\n"
+    code, out, err = run(capsys, "--max-size", "7581", "experiments", "shift",
+                         "--n-max", "4")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["all_pass"] is True
+    assert [result["cases"][str(n)]["comparable_pairs"] for n in range(5)] == [
+        3, 6, 20, 168, 7581]
+
+
+def test_suites_are_public_relation_reports():
+    """The CLI imports no private name of `relation`, and each suite but
+    dimtable's CSV writer is a public function of `relation`, so the class
+    walk and its ids stay in one module."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(cli))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "relation"
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    assert list(cli.SUITES) == ["corollary", "lemma51", "fixedpoints", "shift",
+                                "dimtable"]
+    for name, suite in cli.SUITES.items():
+        if name == "dimtable":
+            continue
+        assert suite.__module__ == "ordlat.relation", name
+        assert not suite.__name__.startswith("_"), name
+        assert getattr(relation, suite.__name__) is suite, name
 
 
 def test_output_flag(tmp_path, capsys):

@@ -16,6 +16,7 @@ from ordlat import (
     lattice,
 )
 from oracles import (
+    all_rows_birkhoff,
     brute_check_tables,
     brute_first_failing_triple,
     brute_first_missing_bound,
@@ -313,6 +314,44 @@ def test_birkhoff_count_alone_does_not_accept():
         o.lattice_from_poset(P)
     assert type(exc.value) is type(expected)
     assert str(exc.value) == str(expected)
+
+
+def _bounded(X):
+    """X with a new bottom 0 and a new top n + 1 adjoined."""
+    n = X.n
+    pairs = [(i + 1, j + 1) for i, j in X.pairs()]
+    pairs += [(0, i) for i in range(1, n + 2)] + [(i, n + 1) for i in range(n + 1)]
+    return o.poset_new(n + 2, pairs)
+
+
+def _random_bounded(rng, k):
+    """A random order on k points with 0 below and k - 1 above the rest."""
+    p = rng.uniform(0.1, 0.6)
+    pairs = [(i, j) for i in range(1, k - 1) for j in range(i + 1, k - 1)
+             if rng.random() < p]
+    pairs += [(0, i) for i in range(1, k)] + [(i, k - 1) for i in range(k - 1)]
+    return o.poset_new(k, pairs)
+
+
+def test_birkhoff_check_skipping_irreducible_rows_matches_all_rows():
+    """`_is_birkhoff` checks no row of a join-irreducible; the oracle checks
+    every row.  Same verdict on every class of 1-6 points with bounds
+    adjoined, on the down-set lattices of the classes of 1-5 points, and on
+    1,000 seeded random bounded posets of 3-14 points."""
+    rng = random.Random(2501)
+    cases = []
+    for n in range(1, 7):
+        for X in o.enumerate_posets(n):
+            cases.append(_bounded(X))
+            if n <= 5:
+                cases.append(o.clopen_downset_lattice(X)[0].order)
+    cases += [_random_bounded(rng, rng.randint(3, 14)) for _ in range(1000)]
+    verdicts = []
+    for P in cases:
+        J = lattice._join_irreducibles(P)
+        verdicts.append(lattice._is_birkhoff(P, J))
+        assert verdicts[-1] == all_rows_birkhoff(P, J), P.up
+    assert (len(verdicts), sum(verdicts)) == (1492, 330)
 
 
 def test_failed_birkhoff_check_on_a_distributive_lattice_is_internal(monkeypatch):

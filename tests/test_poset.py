@@ -62,6 +62,17 @@ def test_poset_new_rejects_cycle():
         assert exc.value.cycle == cycle == brute_closure(n, pairs)[1]
 
 
+def test_poset_new_needs_one_label_per_element():
+    """Too few labels would make `dot_export` raise IndexError on the
+    unnamed elements, and too many would name elements that do not exist:
+    both are refused, naming both lengths."""
+    for size, labels in ((3, ["a"]), (2, ["a", "b", "c"]), (1, [])):
+        with pytest.raises(ValueError) as exc:
+            o.poset_new(size, [], labels)
+        assert str(exc.value) == f"{len(labels)} labels for {size} elements"
+    assert o.poset_new(3, [(0, 1)], "abc").labels == ("a", "b", "c")
+
+
 def test_poset_new_closes_transitively():
     P = o.poset_new(3, [(0, 1), (1, 2)])
     assert P.leq(0, 2)

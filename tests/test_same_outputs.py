@@ -57,10 +57,14 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "documents seed 7 op 1 (malformed)",
         "documents seed 7 op 2 (experiments)",
         "sweep lemma51",
-        "dimtable",
-        "lemma51 --n-max 6",
+    ] + [f"{suite} --n-max {n}" for suite in ("corollary", "lemma51", "fixedpoints")
+         for n in range(9)] + [
+        "shift --n-max 0",
+        "dimtable --n-max 0",
+        "dimtable --n-max 6",
+        "dimtable --n-max 8",
+        "experiments nosuch",
     ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS] + [
-        f"corollary --n-max {n}" for n in range(1, 8)] + [
         f"corollary under --max-size {cap}"
         for cap in same_outputs.COROLLARY_CAPS] + [
         "spec on the 1024-chain lattice",
@@ -82,11 +86,15 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         ["check", str(tmp_path / "7-1.json")],
         ["experiments", "shift", "--n-max", "1"],
         ["experiments", "lemma51", "--n-max", "2"],
+    ] + [["experiments", suite, "--n-max", str(n)]
+         for suite in ("corollary", "lemma51", "fixedpoints") for n in range(9)] + [
+        ["experiments", "shift", "--n-max", "0"],
+        ["experiments", "dimtable", "--n-max", "0"],
         ["experiments", "dimtable", "--n-max", "6"],
-        ["experiments", "lemma51", "--n-max", "6"],
+        ["experiments", "dimtable", "--n-max", "8"],
+        ["experiments", "nosuch"],
     ] + [["--max-size", str(cap), "experiments", "shift", "--n-max", "3"]
          for cap in same_outputs.SHIFT_CAPS] + [
-        ["experiments", "corollary", "--n-max", str(n)] for n in range(1, 8)] + [
         ["--max-size", str(cap), "experiments", "corollary", "--n-max", "7"]
         for cap in same_outputs.COROLLARY_CAPS] + [
         ["spec", fixed[0]],
@@ -128,4 +136,4 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "64 ops, 0 differ\n"
+    assert capsys.readouterr().out == "87 ops, 0 differ\n"

@@ -5,14 +5,15 @@
 Each tree runs the same CLI ops through ``ordlat.cli.main`` in a child
 process of its own, importing the package from that tree's ``src/`` and
 generating the documents with that tree's ``perfbench/gen.py``: the
-``documents`` ops of each seed, the four ``sweep`` suites,
-``experiments dimtable --n-max 6``, ``experiments lemma51 --n-max 6``,
+``documents`` ops of each seed, the four ``sweep`` suites, each suite at
+each ``--n-max`` in ``SUITE_N_MAX``, from 0 to the enumeration cap's
+refusal at 8, ``experiments nosuch``, whose usage error lists the suites,
 ``experiments shift --n-max 3`` under
 each ``--max-size`` in ``SHIFT_CAPS``, which pins the order of the cap
 refusals of down-set lattices, products and relation posets,
-``experiments corollary`` at each ``--n-max`` up to the enumeration cap and,
-at ``--n-max 7``, under each ``--max-size`` in ``COROLLARY_CAPS``, which pins
-the order in which the suite visits the lattices, and the
+``experiments corollary --n-max 7`` under each ``--max-size`` in
+``COROLLARY_CAPS``, which pins the order in which the suite visits the
+lattices, and the
 ``fixed_ops``, whose large or odd documents the seeds never reach, among
 them reports that name elements by names derived from derived names.  The
 temporary directory that holds a tree's documents reads ``<docs>`` in every
@@ -34,10 +35,19 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-DIMTABLE = ["experiments", "dimtable", "--n-max", "6"]
-# Lemma 5.1 on every class of up to 6 points: E(X x 2) reaches 729
-# elements, past what the sweep's suites build
-LEMMA51 = ["experiments", "lemma51", "--n-max", "6"]
+# the --n-max values run for each suite: 0, 8 (refused by the enumeration
+# cap) and the values between whose reports should not move.  Lemma 5.1 at
+# n = 6 builds E(X x 2) of up to 729 elements, past what the sweep's suites
+# build, and at n = 7 refuses one of 2187.  shift at 4 and up and dimtable
+# at 7 are left out: their outputs changed when the suites' own limits of
+# n <= 3 and n <= 6 were dropped, and the CLI tests pin them.
+SUITE_N_MAX = (
+    ("corollary", range(9)),
+    ("lemma51", range(9)),
+    ("fixedpoints", range(9)),
+    ("shift", (0,)),
+    ("dimtable", (0, 6, 8)),
+)
 # each side of each cap threshold of `experiments shift --n-max 3`: cube 0,
 # E(cube 0) and the relation lattices of E(cube n), n = 0..3
 SHIFT_CAPS = (0, 1, 2, 3, 5, 6, 19, 20, 167, 168)
@@ -157,13 +167,12 @@ def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
                 argv = [path if a == "@doc" else a for a in argv]
             ops.append((f"documents seed {seed} op {k} ({op['kind']})", argv))
     ops += [(f"sweep {op['kind']}", op["argv"]) for op in gen.sweep(0)]
-    ops.append(("dimtable", DIMTABLE))
-    ops.append(("lemma51 --n-max 6", LEMMA51))
+    ops += [(f"{suite} --n-max {n}", ["experiments", suite, "--n-max", str(n)])
+            for suite, n_max in SUITE_N_MAX for n in n_max]
+    ops.append(("experiments nosuch", ["experiments", "nosuch"]))
     ops += [(f"shift under --max-size {cap}",
              ["--max-size", str(cap), "experiments", "shift", "--n-max", "3"])
             for cap in SHIFT_CAPS]
-    ops += [(f"corollary --n-max {n}",
-             ["experiments", "corollary", "--n-max", str(n)]) for n in range(1, 8)]
     ops += [(f"corollary under --max-size {cap}",
              ["--max-size", str(cap), "experiments", "corollary", "--n-max", "7"])
             for cap in COROLLARY_CAPS]
