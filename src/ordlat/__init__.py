@@ -52,11 +52,9 @@ from .duality import (
 )
 from .relation import (
     FactorWitness,
-    FixedPointReport,
     cube_shift_check,
     dimension_report,
     factor_by_two,
-    find_fixed_points,
     relation_downset_iso,
     relation_hom,
     relation_image_witness,

@@ -263,7 +263,7 @@ def cmd_downsets(args) -> tuple[str, int]:
 def cmd_image(args) -> tuple[str, int]:
     _, P = _load(args.input, args.max_size)
     L = lattice_from_poset(P)
-    found = relation_image_witness(L, args.max_size)
+    found = relation_image_witness(L)
     if found is None:
         # one prime ideal, so one point of the spectrum, per join-irreducible
         size = len(L.irreducibles)
@@ -289,18 +289,18 @@ def cmd_image(args) -> tuple[str, int]:
     return _report(args, result, {"input": args.input}), 0
 
 
-def _suite_dimtable(n_max: int, max_dim_size: int) -> str:
+def _suite_dimtable(n_max: int, max_size: int, max_dim_size: int) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, ["id", "size", "dim", "dim_rel", "width",
                                   "width_rel"], lineterminator="\n")
     writer.writeheader()
-    writer.writerows(dimension_report(n_max, dim_cap=max_dim_size))
+    writer.writerows(dimension_report(n_max, max_size, dim_cap=max_dim_size))
     return buf.getvalue()
 
 
 # the suites in the order that ``--help`` and usage errors list them; each
 # is a report of ``relation``, taking (n_max, max_size) and returning its
-# result, but dimtable, which takes (n_max, max_dim_size) and returns its CSV
+# result, but dimtable, which also takes max_dim_size and returns its CSV
 SUITES = {
     "corollary": corollary_report,
     "lemma51": lemma51_report,
@@ -313,7 +313,7 @@ SUITES = {
 def cmd_experiments(args) -> tuple[str, int]:
     suite = SUITES[args.suite]
     if args.suite == "dimtable":
-        return suite(args.n_max, args.max_dim_size), 0
+        return suite(args.n_max, args.max_size, args.max_dim_size), 0
     result = suite(args.n_max, args.max_size)
     extra = {"suite": args.suite, "n_max": args.n_max}
     return _report(args, result, extra), 0 if result["all_pass"] else 1

@@ -15,9 +15,7 @@ from .errors import (
     NotHomomorphism,
     Unbounded,
 )
-from .poset import Poset, _down_set_fold, _pullback
-
-DEFAULT_HOM_CAP = 6
+from .poset import DEFAULT_HOM_CAP, Poset, _down_set_fold, _pullback
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .errors import (
 DEFAULT_MAX_SIZE = 1024
 DEFAULT_DOWNSET_COUNT_CAP = 100_000
 DEFAULT_DIMENSION_CAP = 10
+DEFAULT_HOM_CAP = 6
 ENUMERATION_CAP = 7
 
 

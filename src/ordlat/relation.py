@@ -1,8 +1,10 @@
 """The order-relation functor: the relation of a poset/lattice, regarded as a
 structure in its own right under the coordinatewise order, together with the
 prime-ideal bookkeeping, the two-copy factorization criterion for membership
-in its image, and desk-scale fixed-point and dimension surveys: the
-``experiments`` suites, with the class walk and ``n{size}#{idx}`` ids.
+in its image, and the ``experiments`` suites as reports: the corollary,
+Lemma 5.1, fixed-point, shift and dimension surveys, each taking
+``(n_max, max_size)`` and building every Phi under max_size, with the class
+walk and ``n{size}#{idx}`` ids.
 """
 
 from __future__ import annotations
@@ -113,6 +115,19 @@ def _components(prs: PairMap, width: int):
     )
 
 
+def _projections(prs: PairMap, L: DistLattice):
+    """The maps S -> proj1(S) and S -> proj2(S) on down-sets S of Phi(L),
+    masks over prs to masks over L.  (a, a) and (0, b) lie below (a, b), so
+    S meets the pairs of first component a iff it holds (a, a), and those
+    of second component b iff it holds (0, b): each projection is a
+    pullback."""
+    index = {pair: k for k, pair in enumerate(prs)}
+    return (
+        _pullback([index[a, a] for a in range(L.n)], len(prs)),
+        _pullback([index[L.bottom, b] for b in range(L.n)], len(prs)),
+    )
+
+
 def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> bool:
     """Check the closed-form prime ideals of the relation lattice against
     its spectrum computed directly, and check the projection facts behind
@@ -128,13 +143,9 @@ def verify_relation_primes(L: DistLattice, max_size: int = DEFAULT_MAX_SIZE) -> 
         return False
     prime_masks = set(prime_ideals(L))
     full = L.order.full_mask
+    proj1, proj2 = _projections(prs, L)
     for S in direct:
-        s1 = 0
-        s2 = 0
-        for k in _bits(S):
-            a, b = prs[k]
-            s1 |= 1 << a
-            s2 |= 1 << b
+        s1, s2 = proj1(S), proj2(S)
         if pull1(s1) & pull2(s2) != S:
             return False
         if s1 not in prime_masks:
@@ -235,9 +246,7 @@ def factor_by_two(P: Poset) -> FactorWitness | None:
     return None
 
 
-def relation_image_witness(
-    L: DistLattice, max_size: int = DEFAULT_MAX_SIZE
-) -> tuple[DistLattice, IsoWitness] | None:
+def relation_image_witness(L: DistLattice) -> tuple[DistLattice, IsoWitness] | None:
     """Decide whether L is (isomorphic to) the relation lattice of some K.
 
     Works through the dual space: L is in the image iff its spectrum X
@@ -249,8 +258,10 @@ def relation_image_witness(
     fw = factor_by_two(X)
     if fw is None:
         return None
-    K, ds = clopen_downset_lattice(fw.factor, max_size)
-    PhiK, prs = relation_lattice(K, max_size=max_size)
+    # Phi(K) is E(Y x 2), which is E(X), so it has |L| elements, and K
+    # has at most as many elements as Phi(K)
+    K, ds = clopen_downset_lattice(fw.factor, L.n)
+    PhiK, prs = relation_lattice(K, max_size=L.n)
     # y of Y is the y-th point of the block, (y, 0) of Y x 2, and its
     # partner pairing[y] is (y, 1): the unit image of a, pulled back through
     # the top and the bottom layer, is a pair of down-sets of Y
@@ -261,17 +272,6 @@ def relation_image_witness(
     carrier = [(ds[i], ds[j]) for i, j in prs]
     w = _certified(L.order, PhiK.order, layered, carrier, "image witness")
     return K, w.inverse()
-
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    mode: str
-    n_max: int
-    hits: tuple[str, ...]
-    expectation: str
-
-
-FIXED_POINT_MODES = ("posets", "lattices", "connected_posets")
 
 
 def _classes(n_max: int):
@@ -346,59 +346,6 @@ def _lattice_id(key: tuple[int, ...]) -> str:
     return _class_id(size, enumerate_posets(size).index(rep))
 
 
-def find_fixed_points(n_max: int, mode: str) -> FixedPointReport:
-    """Exhaustively scan isomorphism classes up to n_max for structures
-    isomorphic to their own relation poset.
-
-    The expected outcomes (antichains and nothing else for posets, nothing
-    for lattices, only the singleton among connected posets) are asserted,
-    not assumed; a violation raises InternalError.
-    """
-    if mode not in FIXED_POINT_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _fixed_points(_fixed_point_candidates(n_max), n_max, mode)
-
-
-def _fixed_point_candidates(n_max: int) -> list[tuple[int, int, Poset]]:
-    """(size, idx, P) for the classes of 1..n_max points that can be fixed
-    points: |Phi(P)| is the number of related pairs, so P can only be one
-    when its sole related pairs are the diagonal ones.  One scan serves
-    every mode."""
-    return [(size, idx, P) for size, idx, P in _classes(n_max)
-            if P.relation_count() == P.n]
-
-
-def _fixed_points(candidates, n_max: int, mode: str) -> FixedPointReport:
-    """``find_fixed_points`` over the ``_fixed_point_candidates`` of n_max:
-    the mode's own test runs on those few."""
-    hits = []
-    hit_posets = []
-    for size, idx, P in candidates:
-        if mode == "lattices":
-            try:
-                lattice_from_poset(P)
-            except OrdlatError:
-                continue
-        if mode == "connected_posets" and not is_connected(P):
-            continue
-        RP, _ = relation_poset(P)
-        if is_isomorphic(RP, P) is not None:
-            hits.append(_class_id(size, idx))
-            hit_posets.append(P)
-    if mode == "posets":
-        ok = len(hits) == n_max and all(P.is_antichain() for P in hit_posets)
-        expectation = "fixed points are exactly the antichains"
-    elif mode == "lattices":
-        ok = not hits
-        expectation = "no lattice fixed points"
-    else:
-        ok = all(P.n == 1 for P in hit_posets)
-        expectation = "no connected fixed point with more than one element"
-    if not ok:
-        raise InternalError(f"fixed-point expectation violated: {expectation}")
-    return FixedPointReport(mode, n_max, tuple(hits), expectation)
-
-
 def cube_shift_check(n: int, max_size: int = DEFAULT_MAX_SIZE) -> IsoWitness:
     """Finite shadow of the shift self-similarity of the infinite cube:
     Lemma 5.1 at X = cube n.  Returns the certified isomorphism from the
@@ -440,15 +387,45 @@ def lemma51_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
 
 
 def fixed_points_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
-    """The ``fixedpoints`` suite: ``find_fixed_points`` in each mode, over
-    one scan of the classes.  Phi(P) is built under the default cap, so
-    max_size is not read."""
-    candidates = _fixed_point_candidates(n_max)
+    """The ``fixedpoints`` suite: the classes of 1..n_max points isomorphic
+    to their own relation poset, among all posets, among lattices and among
+    connected posets, over one scan of the classes.
+
+    |Phi(P)| is the number of related pairs, so P can only be a fixed point
+    when its sole related pairs are the diagonal ones; Phi(P) is built once
+    for each such P, under max_size.  The expected outcomes (antichains and
+    nothing else for posets, nothing for lattices, only the singleton among
+    connected posets) are asserted, not assumed; a violation raises
+    InternalError."""
+    found = [
+        (_class_id(size, idx), P) for size, idx, P in _classes(n_max)
+        if P.relation_count() == P.n
+        and is_isomorphic(relation_poset(P, max_size)[0], P) is not None
+    ]
+    lattices = [(hit, P) for hit, P in found if _is_lattice(P)]
+    connected = [(hit, P) for hit, P in found if is_connected(P)]
     modes = {}
-    for mode in FIXED_POINT_MODES:
-        rep = _fixed_points(candidates, n_max, mode)
-        modes[mode] = {"hits": list(rep.hits), "expectation": rep.expectation}
+    for mode, hits, expectation, ok in (
+        ("posets", found, "fixed points are exactly the antichains",
+         len(found) == n_max and all(P.is_antichain() for _, P in found)),
+        ("lattices", lattices, "no lattice fixed points", not lattices),
+        ("connected_posets", connected,
+         "no connected fixed point with more than one element",
+         all(P.n == 1 for _, P in connected)),
+    ):
+        if not ok:
+            raise InternalError(f"fixed-point expectation violated: {expectation}")
+        modes[mode] = {"hits": [hit for hit, _ in hits], "expectation": expectation}
     return {"modes": modes, "all_pass": True}
+
+
+def _is_lattice(P: Poset) -> bool:
+    """Whether P is a bounded distributive lattice with 0 != 1."""
+    try:
+        lattice_from_poset(P)
+    except OrdlatError:
+        return False
+    return True
 
 
 def shift_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
@@ -462,11 +439,13 @@ def shift_report(n_max: int, max_size: int = DEFAULT_MAX_SIZE) -> dict:
 
 
 def dimension_report(
-    n_max: int, dim_cap: int = DEFAULT_DIMENSION_CAP
+    n_max: int,
+    max_size: int = DEFAULT_MAX_SIZE,
+    dim_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> list[dict]:
     """Survey rows comparing width and order dimension of each small poset
-    with those of its relation poset; oversized dimension entries are
-    marked skipped rather than computed.
+    with those of its relation poset, built under max_size; oversized
+    dimension entries are marked skipped rather than computed.
 
     P is the diagonal of its relation poset, which is a subposet of P x P,
     so dim P <= dim Phi(P) <= 2 dim P; a row breaking this raises
@@ -474,7 +453,7 @@ def dimension_report(
     """
     rows = []
     for size, idx, P in _classes(n_max):
-        RP, _ = relation_poset(P)
+        RP, _ = relation_poset(P, max_size)
         dim_p = order_dimension(P, cap=dim_cap) if P.n <= dim_cap else None
         dim_rp = order_dimension(RP, cap=dim_cap) if RP.n <= dim_cap else None
         if None not in (dim_p, dim_rp) and not dim_p <= dim_rp <= 2 * dim_p:

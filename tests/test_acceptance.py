@@ -11,6 +11,7 @@ import random
 import ordlat as o
 from ordlat import OrdlatError
 from ordlat.cli import main
+from ordlat.relation import fixed_points_report
 from oracles import (
     brute_dimension,
     brute_down_sets,
@@ -152,12 +153,10 @@ def test_criterion_5_free_lattice_shift():
 
 
 def test_criterion_6_fixed_point_scans():
-    rep = o.find_fixed_points(6, "posets")
-    assert len(rep.hits) == 6  # exactly one antichain per size
-    rep = o.find_fixed_points(6, "lattices")
-    assert rep.hits == ()
-    rep = o.find_fixed_points(6, "connected_posets")
-    assert rep.hits == ("n1#000",)  # only the singleton
+    modes = fixed_points_report(6)["modes"]
+    assert len(modes["posets"]["hits"]) == 6  # exactly one antichain per size
+    assert modes["lattices"]["hits"] == []
+    assert modes["connected_posets"]["hits"] == ["n1#000"]  # only the singleton
     print("ACCEPT 6: fixed points <= 6: antichains only / no lattices / "
           "no connected > 1 ... pass")
 

@@ -688,6 +688,39 @@ def test_experiments_shift_obeys_max_size(capsys):
     assert json.loads(out)["result"]["all_pass"] is True
 
 
+def test_experiments_fixedpoints_obeys_max_size(capsys):
+    """Phi(P) is built for the antichains alone, in size order, so under
+    each cap k < 7 the suite refuses Phi of the (k+1)-antichain; at 7 it
+    writes the report of the default cap."""
+    for cap in range(7):
+        code, out, err = run(capsys, "--max-size", str(cap), "experiments",
+                             "fixedpoints", "--n-max", "7")
+        assert (code, out) == (1, ""), cap
+        assert err == (f"error: CapExceeded: relation poset has {cap + 1} "
+                       f"elements, cap {cap}\n")
+    code, out, err = run(capsys, "--max-size", "7", "experiments",
+                         "fixedpoints", "--n-max", "7")
+    assert (code, err) == (0, "")
+    _, default, _ = run(capsys, "experiments", "fixedpoints", "--n-max", "7")
+    assert out == default.replace('"max_size": 1024', '"max_size": 7')
+
+
+def test_experiments_dimtable_obeys_max_size(capsys):
+    """dimtable builds Phi(P) of every class under --max-size: n3#001, the
+    first class in order with 4 related pairs, is refused under cap 3, and
+    no row is written; cap 6 passes every class of at most 3 points."""
+    counts = [P.relation_count() for n in (1, 2, 3) for P in o.enumerate_posets(n)]
+    assert counts.index(4) == 1 + 2 + 1 and max(counts[:4]) == 3
+    code, out, err = run(capsys, "--max-size", "3", "experiments", "dimtable",
+                         "--n-max", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: CapExceeded: relation poset has 4 elements, cap 3\n"
+    code, out, err = run(capsys, "--max-size", "6", "experiments", "dimtable",
+                         "--n-max", "3")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "experiments", "dimtable", "--n-max", "3")[1]
+
+
 def test_experiments_shift_builds_each_downset_lattice_once(capsys, monkeypatch):
     """The suite reads the comparable pairs of E(cube n) off the witness the
     check returns: two down-set scans per case, of cube n and cube n x 2."""

@@ -419,6 +419,22 @@ def test_verify_relation_primes_random_larger():
         checked += 1
 
 
+def test_projections_of_down_sets_are_pullbacks():
+    """On every down-set S of Phi(L), L one per class of distributive
+    lattices of 2..7 elements, the two pullbacks give the projections of S
+    read pair by pair: 2,188 down-sets in all."""
+    seen = 0
+    for L in relation._lattice_classes(7):
+        PhiL, prs = o.relation_lattice(L)
+        proj1, proj2 = relation._projections(prs, L)
+        for S in o.down_sets(PhiL.order):
+            pairs = [prs[k] for k in range(len(prs)) if S >> k & 1]
+            assert proj1(S) == sum({1 << a for a, _ in pairs})
+            assert proj2(S) == sum({1 << b for _, b in pairs})
+            seen += 1
+    assert seen == 2188
+
+
 def test_relation_downset_iso_frozen_chain2():
     # layered map for X = 2-chain, computed by hand over the 6 carriers
     w = o.relation_downset_iso(o.chain(2))
@@ -571,45 +587,66 @@ def test_image_witness_examples():
     assert o.is_isomorphic(K.order, o.chain(3)) is not None
 
 
-def test_find_fixed_points_posets():
-    rep = o.find_fixed_points(3, "posets")
-    assert len(rep.hits) == 3  # one antichain per size
+def test_image_witness_carriers_are_bounded_by_l():
+    """Phi(chain 45) has 1,035 elements, past the default cap; K and Phi(K)
+    are no larger than L, so the witness is found with no cap to raise."""
+    L = o.relation_lattice(lat(o.chain(45)), max_size=1035)[0]
+    assert L.n > DEFAULT_MAX_SIZE
+    K, w = o.relation_image_witness(L)
+    assert o.is_isomorphic(K.order, o.chain(45)) is not None
+    assert w.validate(o.relation_lattice(K, max_size=L.n)[0].order, L.order)
 
 
-def test_find_fixed_points_lattices_and_connected():
-    assert o.find_fixed_points(5, "lattices").hits == ()
-    rep = o.find_fixed_points(4, "connected_posets")
-    assert rep.hits == ("n1#000",)
+def test_fixed_points_report_posets():
+    modes = relation.fixed_points_report(3)["modes"]
+    assert len(modes["posets"]["hits"]) == 3  # one antichain per size
 
 
-def test_find_fixed_points_builds_phi_only_for_antichains(monkeypatch):
-    """Phi(P) is built only when P has no more related pairs than
-    elements: the 7 antichains in "posets" mode and the singleton among
-    connected posets."""
-    from ordlat import relation
+def test_fixed_points_report_lattices_and_connected():
+    assert relation.fixed_points_report(5)["modes"]["lattices"]["hits"] == []
+    modes = relation.fixed_points_report(4)["modes"]
+    assert modes["connected_posets"]["hits"] == ["n1#000"]
 
+
+def test_fixed_points_report_builds_phi_only_for_antichains(monkeypatch):
+    """Phi(P) is built once for each P with no more related pairs than
+    elements, under the report's cap: the 7 antichains, whose hits the
+    lattice and connectedness tests then filter."""
     built = []
     real = relation.relation_poset
 
     def counted(P, *args, **kwargs):
-        built.append(P)
+        built.append((P, args, kwargs))
         return real(P, *args, **kwargs)
 
     monkeypatch.setattr(relation, "relation_poset", counted)
-    hits = {
-        mode: o.find_fixed_points(7, mode).hits
-        for mode in relation.FIXED_POINT_MODES
-    }
-    assert len(built) == 8
-    assert all(P.is_antichain() for P in built)
+    result = relation.fixed_points_report(7, 7)
+    hits = {mode: rep["hits"] for mode, rep in result["modes"].items()}
+    assert len(built) == 7
+    assert all(P.is_antichain() for P, _, _ in built)
+    assert all(args == (7,) and not kwargs for _, args, kwargs in built)
     assert len(hits["posets"]) == 7
-    assert hits["lattices"] == ()
-    assert hits["connected_posets"] == ("n1#000",)
+    assert hits["lattices"] == []
+    assert hits["connected_posets"] == ["n1#000"]
+    assert result["all_pass"] is True
 
 
-def test_find_fixed_points_bad_mode():
-    with pytest.raises(ValueError):
-        o.find_fixed_points(3, "bogus")
+def test_fixed_points_report_refuses_phi_past_max_size():
+    """Under cap k < n_max the scan refuses Phi of the (k+1)-antichain, the
+    first class with more related pairs than k among the candidates."""
+    for k in range(3):
+        with pytest.raises(CapExceeded,
+                           match=f"relation poset has {k + 1} elements, cap {k}$"):
+            relation.fixed_points_report(3, k)
+    assert relation.fixed_points_report(3, 3)["all_pass"] is True
+
+
+def test_fixed_points_report_asserts_its_expectations(monkeypatch):
+    """A hit that breaks an expectation raises InternalError: here every
+    candidate is taken for a lattice."""
+    monkeypatch.setattr(relation, "_is_lattice", lambda P: True)
+    with pytest.raises(InternalError, match="no lattice fixed points"):
+        relation.fixed_points_report(2)
 
 
 def test_cube_shift_small(monkeypatch):

@@ -51,6 +51,7 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
     # the shift grid runs each cap the CLI test pins, and the first that passes
     assert same_outputs.SHIFT_CAPS == (*SHIFT_REFUSALS, 168)
     assert same_outputs.COROLLARY_CAPS == (*COROLLARY_REFUSALS, 28)
+    assert same_outputs.FIXEDPOINT_CAPS == tuple(range(8))
     ops = same_outputs.tree_ops(gen, [7], str(tmp_path))
     assert [name for name, _ in ops] == [
         "documents seed 7 op 0 (check_poset)",
@@ -67,6 +68,9 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
     ] + [f"shift under --max-size {cap}" for cap in same_outputs.SHIFT_CAPS] + [
         f"corollary under --max-size {cap}"
         for cap in same_outputs.COROLLARY_CAPS] + [
+        f"fixedpoints under --max-size {cap}"
+        for cap in same_outputs.FIXEDPOINT_CAPS] + [
+        "dimtable --n-max 4 under --max-size 3",
         "spec on the 1024-chain lattice",
         "primes on the 1024-chain lattice",
         "downsets on the 200-chain",
@@ -97,6 +101,9 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
          for cap in same_outputs.SHIFT_CAPS] + [
         ["--max-size", str(cap), "experiments", "corollary", "--n-max", "7"]
         for cap in same_outputs.COROLLARY_CAPS] + [
+        ["--max-size", str(cap), "experiments", "fixedpoints", "--n-max", "7"]
+        for cap in same_outputs.FIXEDPOINT_CAPS] + [
+        ["--max-size", "3", "experiments", "dimtable", "--n-max", "4"],
         ["spec", fixed[0]],
         ["primes", fixed[1]],
         ["downsets", fixed[2]],
@@ -136,4 +143,4 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "87 ops, 0 differ\n"
+    assert capsys.readouterr().out == "96 ops, 0 differ\n"

@@ -13,7 +13,9 @@ each ``--max-size`` in ``SHIFT_CAPS``, which pins the order of the cap
 refusals of down-set lattices, products and relation posets,
 ``experiments corollary --n-max 7`` under each ``--max-size`` in
 ``COROLLARY_CAPS``, which pins the order in which the suite visits the
-lattices, and the
+lattices, ``experiments fixedpoints --n-max 7`` under each ``--max-size``
+in ``FIXEDPOINT_CAPS`` and ``experiments dimtable --n-max 4`` under
+``--max-size 3``, which pin that both suites build Phi under the cap, and the
 ``fixed_ops``, whose large or odd documents the seeds never reach, among
 them reports that name elements by names derived from derived names.  The
 temporary directory that holds a tree's documents reads ``<docs>`` in every
@@ -55,6 +57,9 @@ SHIFT_CAPS = (0, 1, 2, 3, 5, 6, 19, 20, 167, 168)
 # corollary --n-max 7` first passes: under each, it refuses the relation
 # lattice of the first lattice, in class order, with more pairs than the cap
 COROLLARY_CAPS = tuple(range(29))
+# every cap up to 7, where `experiments fixedpoints --n-max 7` first passes:
+# under each, it refuses Phi of the antichain of one point more than the cap
+FIXEDPOINT_CAPS = tuple(range(8))
 FIELDS = ("exit", "stdout", "stderr")
 
 
@@ -176,6 +181,11 @@ def tree_ops(gen, seeds: list[int], docdir: str) -> list[tuple[str, list[str]]]:
     ops += [(f"corollary under --max-size {cap}",
              ["--max-size", str(cap), "experiments", "corollary", "--n-max", "7"])
             for cap in COROLLARY_CAPS]
+    ops += [(f"fixedpoints under --max-size {cap}",
+             ["--max-size", str(cap), "experiments", "fixedpoints", "--n-max", "7"])
+            for cap in FIXEDPOINT_CAPS]
+    ops.append(("dimtable --n-max 4 under --max-size 3",
+                ["--max-size", "3", "experiments", "dimtable", "--n-max", "4"]))
     for k, (name, argv, doc) in enumerate(fixed_ops()):
         path = os.path.join(docdir, f"fixed-{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
