@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import docio
+from . import docio, relation
 from .errors import (
     NotDistributive,
     OrdlatError,
@@ -314,7 +314,9 @@ def cmd_experiments(args) -> tuple[str, int]:
     suite = SUITES[args.suite]
     if args.suite == "dimtable":
         return suite(args.n_max, args.max_size, args.max_dim_size), 0
-    result = suite(args.n_max, args.max_size)
+    # looked up on relation as it is called, so that a wrapper put there,
+    # as perfbench's tracer puts one, sees the call
+    result = getattr(relation, suite.__name__)(args.n_max, args.max_size)
     extra = {"suite": args.suite, "n_max": args.n_max}
     return _report(args, result, extra), 0 if result["all_pass"] else 1
 

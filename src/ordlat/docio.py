@@ -3,26 +3,28 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import CapExceeded, ParseError
-from .poset import DEFAULT_MAX_SIZE, Poset, _members, poset_new
+from .poset import DEFAULT_MAX_SIZE, Poset, _Frozen, _members, poset_new
 
 SCHEMA_VERSION = "1"
 KINDS = ("poset", "lattice")
 
 
-@dataclass(frozen=True, eq=False)
-class Pairs:
+class Pairs(_Frozen):
     """The related pairs [i, j] of the order on range(len(up)) whose
     up-rows are ``up``, all of them or, if ``strict``, those with i != j:
     the list of them in lexicographic order, read off the rows as it is
-    iterated, so no pair is held.  It equals that list; ``list`` or
-    ``json.dumps(..., default=list)`` turns it into plain JSON, and the CLI
-    writes it row by row."""
+    iterated, so no pair is held.  It equals that list, and so, like a
+    list, is unhashable; ``list`` or ``json.dumps(..., default=list)`` turns
+    it into plain JSON, and the CLI writes it row by row."""
 
-    up: tuple[int, ...]
-    strict: bool
+    _fields = ("up", "strict")
+
+    def __init__(self, up: tuple[int, ...], strict: bool):
+        d = self.__dict__
+        d["up"] = up
+        d["strict"] = strict
 
     def rows(self):
         """(i, row i of the pairs) for each i."""

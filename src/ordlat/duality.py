@@ -7,8 +7,6 @@ inclusion on one side, the lattice of all down-sets on the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CapExceeded,
     DegenerateBounds,
@@ -16,7 +14,7 @@ from .errors import (
     NotOrderPreserving,
 )
 from .lattice import DistLattice, LatticeHom, hom_new, lattice_from_poset
-from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _Names, _members
+from .poset import DEFAULT_MAX_SIZE, IsoWitness, Poset, _Frozen, _Names, _members
 from .poset import _names_of, _pullback, _transpose, _with_down, down_sets
 
 
@@ -71,13 +69,16 @@ def spec(L: DistLattice) -> tuple[Poset, list[int]]:
     return _inclusion_order(ideals, L.n, L.order.labels), ideals
 
 
-@dataclass(frozen=True)
-class SpectrumMap:
+class SpectrumMap(_Frozen):
     """Order-preserving map between spectra (contravariant image of a hom)."""
 
-    source: Poset
-    target: Poset
-    mapping: tuple[int, ...]
+    _fields = ("source", "target", "mapping")
+
+    def __init__(self, source: Poset, target: Poset, mapping: tuple[int, ...]):
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["mapping"] = mapping
 
     def validate(self) -> bool:
         """i <= j implies mapping[i] <= mapping[j]."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
@@ -15,21 +14,25 @@ from .errors import (
     NotHomomorphism,
     Unbounded,
 )
-from .poset import DEFAULT_HOM_CAP, Poset, _down_set_fold, _pullback
+from .poset import DEFAULT_HOM_CAP, Poset, _down_set_fold, _Frozen, _pullback
 
 
-@dataclass(frozen=True)
-class DistLattice:
+class DistLattice(_Frozen):
     """Bounded distributive lattice over a Poset, with its join-irreducibles
     in index order.
 
     Only constructed through the validating entry points; 0 != 1 always.
     """
 
-    order: Poset
-    bottom: int
-    top: int
-    irreducibles: tuple[int, ...]
+    _fields = ("order", "bottom", "top", "irreducibles")
+
+    def __init__(self, order: Poset, bottom: int, top: int,
+                 irreducibles: tuple[int, ...]):
+        d = self.__dict__
+        d["order"] = order
+        d["bottom"] = bottom
+        d["top"] = top
+        d["irreducibles"] = irreducibles
 
     @property
     def n(self) -> int:
@@ -146,11 +149,15 @@ def lattice_from_poset(P: Poset) -> DistLattice:
     return DistLattice(P, bottoms[0], tops[0], tuple(irreducibles))
 
 
-@dataclass(frozen=True)
-class LatticeHom:
-    source: DistLattice
-    target: DistLattice
-    mapping: tuple[int, ...]
+class LatticeHom(_Frozen):
+    _fields = ("source", "target", "mapping")
+
+    def __init__(self, source: DistLattice, target: DistLattice,
+                 mapping: tuple[int, ...]):
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["mapping"] = mapping
 
     def __call__(self, a: int) -> int:
         return self.mapping[a]

@@ -7,7 +7,6 @@ these masks, so the n <= ~20 regime stays fast in pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import itemgetter
@@ -146,15 +145,51 @@ def _names_of(labels) -> tuple[str, ...]:
     return labels.names if type(labels) is _Names else labels
 
 
-@dataclass(frozen=True)
-class Poset:
+class _Frozen:
+    """Base of the package's immutable values.  A subclass names its fields,
+    in order, in ``_fields`` and stores them into ``__dict__`` in its own
+    ``__init__``, the cheapest way to build one.  Values of one class are
+    equal when their fields are, and hash as the tuple of their fields; the
+    repr is ``Name(field=value, ...)``.  No attribute can be assigned or
+    deleted, but ``cached_property``, which writes into ``__dict__``, still
+    caches."""
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Poset(_Frozen):
     """Immutable finite poset; ``up[i]`` is the bitmask of elements >= i.
     ``labels`` is a tuple of element names, or a ``_Names`` view that equals
     one and builds it on first read."""
 
-    n: int
-    up: tuple[int, ...]
-    labels: tuple[str, ...]
+    _fields = ("n", "up", "labels")
+
+    def __init__(self, n: int, up: tuple[int, ...], labels: tuple[str, ...]):
+        d = self.__dict__
+        d["n"] = n
+        d["up"] = up
+        d["labels"] = labels
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
@@ -268,12 +303,15 @@ def _with_down(n: int, up, down, labels) -> Poset:
     return P
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(_Frozen):
     """Certified order isomorphism: forward/backward index bijections."""
 
-    forward: tuple[int, ...]
-    backward: tuple[int, ...]
+    _fields = ("forward", "backward")
+
+    def __init__(self, forward: tuple[int, ...], backward: tuple[int, ...]):
+        d = self.__dict__
+        d["forward"] = forward
+        d["backward"] = backward
 
     @classmethod
     def from_forward(cls, forward) -> "IsoWitness":

@@ -9,8 +9,6 @@ walk and ``n{size}#{idx}`` ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceeded, InternalError, OrdlatError
 from .lattice import (
     DistLattice,
@@ -33,6 +31,7 @@ from .poset import (
     IsoWitness,
     Poset,
     _bits,
+    _Frozen,
     _canonical_chunks,
     _decoded,
     _default_labels,
@@ -182,8 +181,7 @@ def _relation_downset_iso(X: Poset, max_size: int) -> tuple[IsoWitness, Poset]:
     return _certified(PhiE.order, E2.order, layered, ds2, "layer map"), X2
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(_Frozen):
     """Certificate that P is order-isomorphic to (factor) x 2.
 
     ``block`` is the bottom copy as a bitmask (a down-set covering half of
@@ -191,9 +189,13 @@ class FactorWitness:
     element; ``factor`` is the induced subposet on the block.
     """
 
-    block: int
-    pairing: tuple[int, ...]
-    factor: Poset
+    _fields = ("block", "pairing", "factor")
+
+    def __init__(self, block: int, pairing: tuple[int, ...], factor: Poset):
+        d = self.__dict__
+        d["block"] = block
+        d["pairing"] = pairing
+        d["factor"] = factor
 
     def assembled(self, P: Poset) -> IsoWitness:
         """Order isomorphism factor x 2 -> P ((y,0) to block, (y,1) on top)."""

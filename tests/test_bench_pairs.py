@@ -1,8 +1,11 @@
 """``tools/bench_pairs.summarise`` on synthetic runs: the gain rule (wins in
 nine tenths of the pairs, medians further apart than the parent's q1-q3
-spread, every run correct), the bound check and the per-side counts."""
+spread, every run correct), the bound check and the per-side counts; and
+the refusal of two trees that differ in compiled bytecode, which makes no
+run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,52 @@ def test_a_run_that_is_not_correct_voids_the_gain():
     assert s["correct"] == {"parent": False, "change": True}
     assert not s["metrics"]["t"]["gain"]
     assert summary(faster)["correct"] == {"parent": True, "change": True}
+
+
+def tree(root, *cache):
+    """A source tree at root whose src/ holds the given cache paths."""
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(dict(SPEC, run_seconds=1)))
+    for path in cache:
+        (root / "src" / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / "src" / path).write_bytes(b"")
+    return root
+
+
+def pairs_main(parent, change, out):
+    return bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "w", "--seeds", "1", "2",
+                             "--out", str(out)])
+
+
+@pytest.mark.parametrize("cache", ["pkg/__pycache__/m.cpython-311.pyc",
+                                   "pkg/m.pyc"])
+def test_trees_that_differ_in_bytecode_cache_are_refused(
+        tmp_path, monkeypatch, capsys, cache):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "bench", no_run)
+    bare = tree(tmp_path / "bare")
+    cached = tree(tmp_path / "cached", cache)
+    out = tmp_path / "out.json"
+    for parent, change in ((bare, cached), (cached, bare)):
+        assert pairs_main(parent, change, out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cached / 'src'} holds compiled bytecode" in err
+    assert not out.exists()
+
+
+def test_each_sides_bytecode_cache_is_recorded(tmp_path, monkeypatch):
+    run = runs([100.0])[0]
+    run["metrics"]["wall_s"] = {"value": 1.0}
+    monkeypatch.setattr(bench_pairs, "bench", lambda *args: run)
+    for name, cache in (("bare", ()), ("cached", ("pkg/__pycache__/m.pyc",))):
+        parent = tree(tmp_path / name / "parent", *cache)
+        change = tree(tmp_path / name / "change", *cache)
+        out = tmp_path / name / "out.json"
+        assert pairs_main(parent, change, out) == 0
+        written = json.loads(out.read_text())
+        assert written["bytecode_cache"] == {"parent": bool(cache),
+                                             "change": bool(cache)}
+        assert written["workloads"]["w"]["first"] == ["parent", "change"]

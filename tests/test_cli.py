@@ -149,14 +149,21 @@ def test_threads_flag_is_a_usage_error(capsys):
 
 
 def test_cli_import_leaves_numpy_out():
+    """Every command pays for the modules ``import ordlat.cli`` loads, so
+    it loads none of numpy, dataclasses or inspect.  Only the modules it
+    adds to those the interpreter already holds count, so a module that a
+    ``.pth`` file loads at start-up does not."""
     src = os.path.dirname(os.path.dirname(o.__file__))
-    code = "import sys, ordlat.cli; print('numpy' in sys.modules)"
+    code = ("import sys; before = set(sys.modules); import ordlat.cli; "
+            "print(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert done.stdout.strip() == "False"
+    added = set(done.stdout.split())
+    assert "ordlat.cli" in added
+    assert not added & {"numpy", "dataclasses", "inspect"}
 
 
 def test_phi_chain2(capsys):
@@ -833,6 +840,22 @@ def test_suites_are_public_relation_reports():
         assert suite.__module__ == "ordlat.relation", name
         assert not suite.__name__.startswith("_"), name
         assert getattr(relation, suite.__name__) is suite, name
+
+
+def test_experiments_call_the_report_on_relation(monkeypatch, capsys):
+    """A suite's report is looked up on `relation` when it is called, so a
+    wrapper put there, such as perfbench's tracer, sees the call."""
+    calls = []
+    real = relation.lemma51_report
+
+    def counted(n_max, max_size):
+        calls.append((n_max, max_size))
+        return real(n_max, max_size)
+
+    monkeypatch.setattr(relation, "lemma51_report", counted)
+    code, out, _ = run(capsys, "experiments", "lemma51", "--n-max", "1")
+    assert code == 0 and json.loads(out)["args"]["suite"] == "lemma51"
+    assert calls == [(1, o.poset.DEFAULT_MAX_SIZE)]
 
 
 def test_output_flag(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ordlat as o
 from ordlat import AntisymmetryViolation, CapExceeded, EmptyPosetError
+from ordlat.docio import Pairs
 from oracles import (
     brute_canonical_key,
     brute_check_axioms,
@@ -206,6 +207,85 @@ def test_lazily_named_posets_equal_eagerly_named_ones():
         kind, Q = docio.document_to_poset(docio.poset_to_document(build()))
         assert (kind, Q) == ("poset", eager)
     assert E.order.labels == ("{}", "{a}", '{b"}', '{a,b"}', '{a,b",c\\}')
+
+
+_CHAIN2 = "Poset(n=2, up=(3, 2), labels=('0', '1'))"
+_POINT = "Poset(n=1, up=(1,), labels=('0',))"
+_LATTICE2 = f"DistLattice(order={_CHAIN2}, bottom=0, top=1, irreducibles=(1,))"
+
+# name: (a build of one value, its fields in constructor order, its repr)
+VALUES = {
+    "Poset": (
+        lambda: o.Poset(3, (1, 2, 4), ("0", "1", "2")), ("n", "up", "labels"),
+        "Poset(n=3, up=(1, 2, 4), labels=('0', '1', '2'))"),
+    "IsoWitness": (
+        lambda: o.IsoWitness.from_forward([1, 0]), ("forward", "backward"),
+        "IsoWitness(forward=(1, 0), backward=(1, 0))"),
+    "DistLattice": (
+        lambda: o.lattice_from_poset(o.chain(2)),
+        ("order", "bottom", "top", "irreducibles"), _LATTICE2),
+    "LatticeHom": (
+        lambda: o.identity_hom(o.lattice_from_poset(o.chain(2))),
+        ("source", "target", "mapping"),
+        f"LatticeHom(source={_LATTICE2}, target={_LATTICE2}, mapping=(0, 1))"),
+    "SpectrumMap": (
+        lambda: o.SpectrumMap(o.chain(1), o.chain(2), (1,)),
+        ("source", "target", "mapping"),
+        f"SpectrumMap(source={_POINT}, target={_CHAIN2}, mapping=(1,))"),
+    "FactorWitness": (
+        lambda: o.factor_by_two(o.chain(2)), ("block", "pairing", "factor"),
+        f"FactorWitness(block=1, pairing=(1,), factor={_POINT})"),
+    "Pairs": (
+        lambda: Pairs((3, 2), strict=True), ("up", "strict"),
+        "Pairs(up=(3, 2), strict=True)"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_compare_hash_print_and_freeze_by_their_fields(name):
+    """Each value class is built from its fields in order; two values are
+    equal when of one class with equal fields, and a value of another
+    class is never equal; all but ``Pairs``, which equals a list, hash as
+    the tuple of their fields; no field can be assigned or deleted."""
+    build, fields, text = VALUES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name and a is not b
+    values = tuple(getattr(a, f) for f in fields)
+    assert a == b and not a != b
+    assert type(a)(*values) == a
+    assert repr(a) == repr(b) == text
+    if name == "Pairs":
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(values)
+    for other, (build_other, _, _) in VALUES.items():
+        if other != name:
+            assert a != build_other() and build_other() != a
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    assert a == b and tuple(getattr(a, f) for f in fields) == values
+
+
+def test_down_masks_are_computed_once(monkeypatch):
+    """``down_masks`` transposes the up-rows on first read and is then read
+    from the instance, frozen as it is."""
+    calls = []
+    real = o.poset._transpose
+
+    def counted(up, n):
+        calls.append(n)
+        return real(up, n)
+
+    monkeypatch.setattr(o.poset, "_transpose", counted)
+    P = o.Poset(3, (3, 2, 6), ("a", "b", "c"))
+    assert "down_masks" not in P.__dict__
+    assert P.down_masks == (1, 7, 4)
+    assert P.down_masks is P.__dict__["down_masks"] and calls == [3]
+    assert P.iso_invariant == (6, 6, 13) and calls == [3]
 
 
 def test_chain_and_antichain_counts():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -219,7 +218,7 @@ def _moved_bottom():
 
     def spoiled(P):
         L = real(P)
-        return dataclasses.replace(L, bottom=L.top)
+        return o.DistLattice(L.order, L.top, L.top, L.irreducibles)
 
     return "lattice_from_poset", spoiled
 
@@ -482,7 +481,7 @@ def test_factor_by_two_examples():
 def test_factor_witness_with_a_short_pairing_does_not_validate():
     w = o.factor_by_two(o.cube(2))
     assert w.validate(o.cube(2))
-    short = dataclasses.replace(w, pairing=w.pairing[:-1])
+    short = o.FactorWitness(w.block, w.pairing[:-1], w.factor)
     assert not short.validate(o.cube(2))
 
 

@@ -12,6 +12,11 @@ whether the gain rule holds: every run on both sides correct, wins in at
 least nine tenths of the pairs and medians further apart than the parent's
 q1-q3 spread.  Failed and attempted op counts, and whether every run passed
 the benchmark's own checks, are kept per side.
+
+A tree whose ``src/`` holds compiled bytecode starts faster than one that
+must compile it, which ``setup_s`` shows, so two trees that differ in it
+are refused with exit code 2 before any run; each side's state is kept in
+the output as ``bytecode_cache``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,12 @@ SIDES = ("parent", "change")
 def quartiles(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def has_bytecode_cache(tree: Path) -> bool:
+    """Whether tree's src/ holds a __pycache__ directory or a .pyc file."""
+    src = tree / "src"
+    return any(src.rglob("__pycache__")) or any(src.rglob("*.pyc"))
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -79,16 +90,24 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    trees = {"parent": args.parent, "change": args.change}
+    cached = {s: has_bytecode_cache(trees[s]) for s in SIDES}
+    if cached["parent"] != cached["change"]:
+        side = "parent" if cached["parent"] else "change"
+        print(f"error: {trees[side] / 'src'} holds compiled bytecode and the "
+              "other tree's src does not; setup_s would differ by it, so "
+              "remove it or compile both", file=sys.stderr)
+        return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    out = {"run_seconds": seconds, "seeds": args.seeds, "workloads": {}}
+    out = {"run_seconds": seconds, "seeds": args.seeds,
+           "bytecode_cache": cached, "workloads": {}}
     for workload in args.workload:
         runs: dict[str, list[dict]] = {s: [] for s in SIDES}
         for k, seed in enumerate(args.seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                tree = args.parent if side == "parent" else args.change
-                runs[side].append(bench(tree, workload, seed, seconds))
+                runs[side].append(bench(trees[side], workload, seed, seconds))
             print(workload, seed, {s: runs[s][-1]["metrics"]["wall_s"]["value"]
                                    for s in SIDES}, flush=True)
         out["workloads"][workload] = dict(
