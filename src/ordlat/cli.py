@@ -276,7 +276,7 @@ def cmd_image(args) -> tuple[str, int]:
             args, {"in_image": False, "reason": reason}, {"input": args.input}
         ), 1
     K, w = found
-    # Φ(K)'s elements are K's related pairs, labelled as relation_poset does
+    # K keeps L's labels; Φ(K)'s pairs are named as relation_poset names them
     labels = K.order.labels
     result = {
         "in_image": True,

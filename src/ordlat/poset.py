@@ -427,6 +427,9 @@ def cube(n: int, max_size: int = DEFAULT_MAX_SIZE) -> Poset:
     bits of i, ordered by bitwise containment."""
     if n < 0:
         raise ValueError("cube needs n >= 0")
+    # 2^n passes max_size once n passes its bit length: refuse without 1 << n
+    if n > max_size.bit_length():
+        raise CapExceeded(f"cube {n} has 2^{n} elements, cap {max_size}")
     size = 1 << n
     if size > max_size:
         raise CapExceeded(f"cube {n} has {size} elements, cap {max_size}")

@@ -203,9 +203,9 @@ class FactorWitness(_Frozen):
         return IsoWitness.from_forward([v for pair in pairs for v in pair])
 
     def validate(self, P: Poset) -> bool:
-        if self.block.bit_count() * 2 != P.n:
+        if self.block.bit_count() * 2 != P.n or self.factor.n * 2 != P.n:
             return False
-        return self.assembled(P).validate(product(self.factor, chain(2)), P)
+        return self.assembled(P).validate(product(self.factor, chain(2), P.n), P)
 
 
 def factor_by_two(P: Poset) -> FactorWitness | None:
@@ -252,28 +252,25 @@ def relation_image_witness(L: DistLattice) -> tuple[DistLattice, IsoWitness] | N
     """Decide whether L is (isomorphic to) the relation lattice of some K.
 
     Works through the dual space: L is in the image iff its spectrum X
-    factors as Y x 2; then K is the down-set lattice of Y.  The witness maps
-    the relation lattice of K onto L: it inverts the duality unit L -> E(X)
-    followed by the pull-back to E(Y x 2) and the split into two layers.
+    factors as Y x 2; then K is E(Y), which sits in L, with L's labels, as
+    the principal ideal of the c whose unit image is the bottom layer.  The
+    witness Phi(K) -> L sends (a, b) to the element whose unit image is b's
+    together with a's moved onto the top layer, certified on L's units.
     """
     X, ideals = spec(L)
     fw = factor_by_two(X)
     if fw is None:
         return None
-    # Phi(K) is E(Y x 2), which is E(X), so it has |L| elements, and K
-    # has at most as many elements as Phi(K)
-    K, ds = clopen_downset_lattice(fw.factor, L.n)
-    PhiK, prs = relation_lattice(K, max_size=L.n)
-    # y of Y is the y-th point of the block, (y, 0) of Y x 2, and its
-    # partner pairing[y] is (y, 1): the unit image of a, pulled back through
-    # the top and the bottom layer, is a pair of down-sets of Y
-    top = _pullback(fw.pairing, X.n)
-    bottom = _pullback(list(_bits(fw.block)), X.n)
     images = _unit_images(ideals, L.n)
-    layered = [(top(u), bottom(u)) for u in images]
-    carrier = [(ds[i], ds[j]) for i, j in prs]
-    w = _certified(L.order, PhiK.order, layered, carrier, "image witness")
-    return K, w.inverse()
+    ideal = [a for a, u in enumerate(images) if not u & ~fw.block]
+    K = lattice_from_poset(L.order.induced(ideal))
+    # Phi(K) is E(Y x 2), which is E(X), so it has |L| elements
+    PhiK, prs = relation_lattice(K, max_size=L.n)
+    # the pullback along top -> bottom partner adds a block mask's top copy
+    below = dict(zip(fw.pairing, _bits(fw.block)))
+    lift = _pullback([below.get(x, x) for x in range(X.n)], X.n)
+    keys = [images[ideal[b]] | lift(images[ideal[a]]) for a, b in prs]
+    return K, _certified(PhiK.order, L.order, keys, images, "image witness")
 
 
 def _classes(n_max: int):

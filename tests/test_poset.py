@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -306,6 +308,35 @@ def test_cube_cap():
         o.cube(11)
     with pytest.raises(CapExceeded):
         o.cube(5, max_size=31)
+
+
+def test_cube_past_the_cap_is_refused_before_two_to_the_n_is_built():
+    """cube n is refused without 1 << n once n passes the bit length of the
+    cap: cube(10**12) would need a 125 GB integer first.  It runs in a child
+    process limited to 1 GiB of address space, so that a regression fails
+    there with MemoryError.  Where 2^n is small, the refusal names it."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import ordlat as o\n"
+        "try:\n"
+        "    o.cube(10**12)\n"
+        "except o.CapExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(o.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "cube 1000000000000 has 2^1000000000000 elements, cap 1024\n")
+    with pytest.raises(CapExceeded, match="^cube 11 has 2048 elements, cap 1024$"):
+        o.cube(11)
+    with pytest.raises(CapExceeded, match=r"^cube 12 has 2\^12 elements, cap 1024$"):
+        o.cube(12)
+    with pytest.raises(CapExceeded, match="^cube 0 has 1 elements, cap 0$"):
+        o.cube(0, max_size=0)
 
 
 def test_product_chain2_chain2_is_cube2():

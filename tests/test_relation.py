@@ -485,6 +485,19 @@ def test_factor_witness_with_a_short_pairing_does_not_validate():
     assert not short.validate(o.cube(2))
 
 
+def test_factor_witness_validates_under_the_size_of_p():
+    """``validate`` builds factor x 2 under the cap |P|, not the default
+    one: a hand-built witness for chain 600 x 2, of 1,200 elements,
+    validates, and a factor whose double is not |P| answers False before
+    any product is built."""
+    P = o.product(o.chain(600), o.chain(2), max_size=1200)
+    # (p, q) of chain 600 x 2 is point 2p + q
+    block = sum(1 << 2 * p for p in range(600))
+    assert o.FactorWitness(block, tuple(range(1, 1200, 2)), o.chain(600)).validate(P)
+    P = o.product(o.chain(3), o.chain(2))
+    assert not o.FactorWitness(0b010101, (1, 3, 5), o.chain(700)).validate(P)
+
+
 def test_factor_by_two_completeness_small():
     # agree with brute-force search for a half Y with Y x 2 isomorphic to P
     for n in (2, 4, 6):
@@ -594,6 +607,38 @@ def test_image_witness_carriers_are_bounded_by_l():
     K, w = o.relation_image_witness(L)
     assert o.is_isomorphic(K.order, o.chain(45)) is not None
     assert w.validate(o.relation_lattice(K, max_size=L.n)[0].order, L.order)
+
+
+def test_image_witness_reads_k_off_l_as_a_principal_ideal():
+    """On every hit among E(X) and E(X x 2), X a class of at most 4 points,
+    and on Phi(chain 21), K carries L's own labels, and its elements, found
+    in L by those labels, form a down-set of L with a greatest element, under
+    L's order; the witness maps Phi(K) onto L."""
+    lattices = [o.relation_lattice(lat(o.chain(21)))[0]]
+    for n in range(1, 5):
+        for X in o.enumerate_posets(n):
+            lattices.append(o.clopen_downset_lattice(X)[0])
+            lattices.append(
+                o.clopen_downset_lattice(o.product(X, o.chain(2)))[0])
+    hits = 0
+    for L in lattices:
+        found = o.relation_image_witness(L)
+        if found is None:
+            continue
+        hits += 1
+        K, w = found
+        index = {name: a for a, name in enumerate(L.order.labels)}
+        assert len(index) == L.n
+        elems = [index[name] for name in K.order.labels]
+        ideal = sum(1 << a for a in elems)
+        down = L.order.down_masks
+        assert all(down[a] & ~ideal == 0 for a in elems)
+        assert any(down[c] == ideal for c in elems)
+        assert K.order.up == L.order.induced(elems).up
+        assert w.validate(o.relation_lattice(K, max_size=L.n)[0].order, L.order)
+    # E(X x 2) for each of the 24 classes, E(chain 2), E(cube 2), E(chain 2
+    # + chain 2) and Phi(chain 21)
+    assert hits == 28
 
 
 def test_fixed_points_report_posets():

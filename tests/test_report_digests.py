@@ -117,8 +117,11 @@ PINS = {
         "70716c9091a0bad5eb2c0dce657961a7157df70b06b4e310edc92bba3219d58a",
     ("downsets32", ("image",)):
         "c58bc8adbed84a454d049fcd0825592864fd436a9dbd96c0a2f0b1b4dadf2727",
+    # re-recorded when K came to be read off L as a principal ideal, named
+    # by L's labels, once an independent rebuild of Phi(K) from K's
+    # document accepted the new iso table
     ("phi24", ("image",)):
-        "b6247dfe538031bc403e6af6abc663fd4383c63cbb452658a21e2b532f228e83",
+        "9c5a189cb4ff64d4e4cf59cc01a389e3d2a72e161b9a8f50ca6047a06fc99813",
     ("cycle12", ("check",)):
         "24384abe5e207aadcb2a2d66dfabb4d1d927be6ea5311203ed4ecefa0446c50a",
 }

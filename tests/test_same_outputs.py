@@ -83,8 +83,10 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         "spec on E(N x 2)",
         "primes on E(N x 2)",
         "downsets on escaped labels",
+        "image on E(antichain 6 x 2)",
+        "image on E(cube 4)",
     ]
-    fixed = [str(tmp_path / f"fixed-{k}.json") for k in range(12)]
+    fixed = [str(tmp_path / f"fixed-{k}.json") for k in range(14)]
     assert [argv for _, argv in ops] == [
         ["check", str(tmp_path / "7-0.json")],
         ["check", str(tmp_path / "7-1.json")],
@@ -116,12 +118,14 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
         ["spec", fixed[9]],
         ["primes", fixed[10]],
         ["downsets", fixed[11]],
+        ["image", fixed[12]],
+        ["image", fixed[13]],
     ]
     assert json.loads((tmp_path / "7-0.json").read_text()) == doc
     assert (tmp_path / "7-1.json").read_text() == "{"
     # the fixed documents: sizes, and Phi's size for the two phi inputs
     sizes = [json.loads(Path(f).read_text())["size"] for f in fixed]
-    assert sizes == [1024, 1024, 200, 600, 231, 21, 5, 5, 14, 31, 31, 5]
+    assert sizes == [1024, 1024, 200, 600, 231, 21, 5, 5, 14, 31, 31, 5, 729, 168]
     for f, related in ((fixed[3], 924), (fixed[4], 19481)):
         _, P = docio.parse_document(Path(f).read_text())
         assert P.relation_count() == related
@@ -138,9 +142,14 @@ def test_ops_write_each_document_and_name_each_op(tmp_path):
     EN = o.clopen_downset_lattice(o.poset_new(4, [(0, 2), (1, 2), (1, 3)]))[0]
     _, EN2 = docio.parse_document(Path(fixed[9]).read_text())
     assert EN2.n == EN.order.relation_count()
+    # the two image inputs are E(antichain 6 x 2) and E(cube 4)
+    for f, X in ((fixed[12], o.product(o.antichain(6), o.chain(2))),
+                 (fixed[13], o.cube(4))):
+        _, E = docio.parse_document(Path(f).read_text())
+        assert o.is_isomorphic(E, o.clopen_downset_lattice(X)[0].order) is not None
 
 
 def test_this_tree_against_itself(capsys):
     assert same_outputs.main(
         ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds"]) == 0
-    assert capsys.readouterr().out == "96 ops, 0 differ\n"
+    assert capsys.readouterr().out == "98 ops, 0 differ\n"

@@ -130,6 +130,20 @@ def _n_times_two() -> dict:
     return _order("lattice", ds, frozenset.__le__)
 
 
+def _e_antichain_times_two(k: int) -> dict:
+    """E(antichain k x 2) as a lattice, 3^k elements, in the image of Phi."""
+    points = [(x, b) for x in range(k) for b in range(2)]
+    ds = _down_sets(points, lambda p, q: p[0] == q[0] and p[1] <= q[1])
+    return _order("lattice", ds, frozenset.__le__)
+
+
+def _e_cube(n: int) -> dict:
+    """E(cube n) as a lattice, the points of cube n being the masks of n
+    bits under containment; it is Phi of E(cube(n-1))."""
+    ds = _down_sets(list(range(1 << n)), lambda a, b: a & ~b == 0)
+    return _order("lattice", ds, frozenset.__le__)
+
+
 def fixed_ops() -> list[tuple[str, list[str], dict]]:
     """(name, argv, document) of the ops on large or odd documents, each
     built here in plain Python; ``@doc`` in argv is the document's file.
@@ -155,6 +169,9 @@ def fixed_ops() -> list[tuple[str, list[str], dict]]:
         ("spec on E(N x 2)", ["spec", "@doc"], n_times_two),
         ("primes on E(N x 2)", ["primes", "@doc"], n_times_two),
         ("downsets on escaped labels", ["downsets", "@doc"], escaped),
+        ("image on E(antichain 6 x 2)", ["image", "@doc"],
+         _e_antichain_times_two(6)),
+        ("image on E(cube 4)", ["image", "@doc"], _e_cube(4)),
     ]
 
 
